@@ -9,11 +9,14 @@
 // operation, so scalar and row paths agree bit-for-bit.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/bit_matrix.hpp"
+#include "core/gemm/macro.hpp"
 #include "core/ld.hpp"
+#include "util/trace.hpp"
 
 namespace ldla::detail {
 
@@ -64,54 +67,9 @@ inline StatTables make_stat_tables_from_counts(
   return t;
 }
 
-/// out[j] = statistic(SNP i, SNP col_begin + j) for j in [0, cols), given
-/// this row's pair counts: counts[j] = POPCNT(s_i & s_{col_begin+j}).
-inline void stat_row_shifted(LdStatistic stat, const StatTables& t,
-                             std::size_t i, std::size_t col_begin,
-                             const std::uint32_t* counts, std::size_t cols,
-                             double* out) {
-  const double pi = t.p[i];
-  const double inv_i = t.inv[i];
-  const double n = t.n;
-  switch (stat) {
-    case LdStatistic::kRSquared: {
-      const double* p = t.p.data() + col_begin;
-      const double* inv = t.inv.data() + col_begin;
-      for (std::size_t j = 0; j < cols; ++j) {
-        const double pij = static_cast<double>(counts[j]) / n;
-        const double d = pij - pi * p[j];
-        const double r = (d * d) * (inv_i * inv[j]);
-        out[j] = r > 1.0 ? 1.0 : r;  // NaN compares false: preserved
-      }
-      break;
-    }
-    case LdStatistic::kD: {
-      const double* p = t.p.data() + col_begin;
-      for (std::size_t j = 0; j < cols; ++j) {
-        const double pij = static_cast<double>(counts[j]) / n;
-        out[j] = pij - pi * p[j];
-      }
-      break;
-    }
-    case LdStatistic::kDPrime: {
-      // Sign-dependent normalization: generic scalar path.
-      for (std::size_t j = 0; j < cols; ++j) {
-        out[j] = ld_d_prime(t.c[i], t.c[col_begin + j], counts[j], t.nseq);
-      }
-      break;
-    }
-  }
-}
-
-/// Unshifted convenience used by the full-matrix drivers.
-inline void stat_row(LdStatistic stat, const StatTables& t, std::size_t i,
-                     const std::uint32_t* counts, std::size_t cols,
-                     double* out) {
-  stat_row_shifted(stat, t, i, 0, counts, cols, out);
-}
-
-/// Cross-matrix variant with a column offset into `tb` (tile epilogues):
-/// counts[j] pairs row SNP i of `ta` with SNP col_begin + j of `tb`.
+/// out[j] = statistic(SNP i of `ta`, SNP col_begin + j of `tb`) for j in
+/// [0, cols), given this row's pair counts: counts[j] = POPCNT(s_i &
+/// s_{col_begin+j}). Single-matrix callers pass the same table twice.
 inline void stat_row_cross_shifted(LdStatistic stat, const StatTables& ta,
                                    std::size_t i, const StatTables& tb,
                                    std::size_t col_begin,
@@ -150,12 +108,40 @@ inline void stat_row_cross_shifted(LdStatistic stat, const StatTables& ta,
   }
 }
 
-/// Cross-matrix variant: row SNP i of table `ta`, columns from table `tb`.
-inline void stat_row_cross(LdStatistic stat, const StatTables& ta,
-                           std::size_t i, const StatTables& tb,
-                           const std::uint32_t* counts, std::size_t cols,
-                           double* out) {
-  stat_row_cross_shifted(stat, ta, i, tb, 0, counts, cols, out);
+/// Single-matrix form of stat_row_cross_shifted.
+inline void stat_row_shifted(LdStatistic stat, const StatTables& t,
+                             std::size_t i, std::size_t col_begin,
+                             const std::uint32_t* counts, std::size_t cols,
+                             double* out) {
+  stat_row_cross_shifted(stat, t, i, t, col_begin, counts, cols, out);
+}
+
+/// Fused-epilogue sink: converts each count tile (rows of `ta` against
+/// columns of `tb`) to statistics and stores pair (gi, gj) at
+/// dst[(gi - row0) * ld + (gj - col0)]. With `lower_only`, only canonical
+/// entries (gj <= gi) are converted — the symmetric drivers leave the rest
+/// of a diagonal-crossing tile unspecified. Tiles write disjoint windows,
+/// so the sink is safe to call concurrently from an in-nest team.
+inline CountTileSink stat_tile_sink(LdStatistic stat, const StatTables& ta,
+                                    const StatTables& tb, bool lower_only,
+                                    double* dst, std::size_t row0,
+                                    std::size_t col0, std::size_t ld) {
+  return [=, &ta, &tb](const CountTile& t) {
+    LDLA_TRACE_SPAN(kEpilogue);
+    std::uint64_t rows_converted = 0;
+    for (std::size_t i = 0; i < t.rows; ++i) {
+      const std::size_t gi = t.row_begin + i;
+      std::size_t cols = t.cols;
+      if (lower_only) {
+        if (gi < t.col_begin) continue;
+        cols = std::min(cols, gi + 1 - t.col_begin);
+      }
+      stat_row_cross_shifted(stat, ta, gi, tb, t.col_begin, t.row(i), cols,
+                             dst + (gi - row0) * ld + (t.col_begin - col0));
+      ++rows_converted;
+    }
+    LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
+  };
 }
 
 }  // namespace ldla::detail

@@ -23,14 +23,6 @@ std::string kernel_arch_name(KernelArch a) {
   return "unknown";
 }
 
-std::string parallel_mode_name(ParallelMode m) {
-  switch (m) {
-    case ParallelMode::kNest: return "nest";
-    case ParallelMode::kCoarse: return "coarse";
-  }
-  return "unknown";
-}
-
 // kernel_available lives in dispatch.cpp now: availability is a registry
 // question (family feature-gate AND at least one compiled variant).
 

@@ -81,90 +81,12 @@ void gemm_count(const BitMatrixView& a, const BitMatrixView& b,
     gemm_count_unpacked(a, b, c, plan);
     return;
   }
-  if (cfg.pack_once) {
-    const bool same = same_operand(a, b);
-    const PackedBitMatrix pa(a, plan,
-                             same ? PackSides::kBoth : PackSides::kA);
-    std::optional<PackedBitMatrix> pb;
-    if (!same) pb.emplace(b, plan, PackSides::kB);
-    gemm_count_packed(pa, 0, a.n_snps, same ? pa : *pb, 0, b.n_snps, c);
-    return;
-  }
-
-  const KernelInfo& kern = kernel_for_plan(plan);
-  const std::size_t mr = plan.mr;
-  const std::size_t nr = plan.nr;
-  const std::size_t ku = plan.ku;
-  const std::size_t m = a.n_snps;
-  const std::size_t n = b.n_snps;
-  const std::size_t k = a.n_words;
-
-  const std::size_t mc = std::min(plan.mc, (m + mr - 1) / mr * mr);
-  const std::size_t nc = std::min(plan.nc, (n + nr - 1) / nr * nr);
-  const std::size_t kc = std::min(plan.kc_words, (k + ku - 1) / ku * ku);
-
-  AlignedBuffer<std::uint64_t> a_pack(packed_panel_words(mc, kc, mr, ku));
-  AlignedBuffer<std::uint64_t> b_pack(packed_panel_words(nc, kc, nr, ku));
-
-  // Loop 5 (jc): B column panels, packed once per (jc, pc) and reused
-  // across every A block — the L3-resident operand.
-  for (std::size_t jc = 0; jc < n; jc += nc) {
-    const std::size_t ncb = std::min(nc, n - jc);
-    // Loop 4 (pc): rank-kc updates. For genomic matrices k is small, so
-    // this usually runs a handful of iterations (the paper's rank-k shape).
-    for (std::size_t pc = 0; pc < k; pc += kc) {
-      const std::size_t kcb = std::min(kc, k - pc);
-      const std::size_t kcb_padded = (kcb + ku - 1) / ku * ku;
-      const PackedPanelView b_panel = [&] {
-        LDLA_TRACE_SPAN(kPackB);
-        return pack_panel_view(b, jc, ncb, pc, kcb, nr, ku, b_pack.data());
-      }();
-
-      // Loop 3 (ic): A row blocks — the L2-resident packed operand.
-      for (std::size_t ic = 0; ic < m; ic += mc) {
-        const std::size_t mcb = std::min(mc, m - ic);
-        const PackedPanelView a_panel = [&] {
-          LDLA_TRACE_SPAN(kPackA);
-          return pack_panel_view(a, ic, mcb, pc, kcb, mr, ku, a_pack.data());
-        }();
-
-        LDLA_TRACE_SPAN(kKernel);
-        const std::uint64_t block_calls = static_cast<std::uint64_t>(
-            ((ncb + nr - 1) / nr) * ((mcb + mr - 1) / mr));
-        LDLA_TRACE_ADD_KERNEL(
-            block_calls,
-            block_calls * static_cast<std::uint64_t>(mr * nr * kcb_padded));
-        // Macro-kernel: loops 2 and 1 over register tiles.
-        for (std::size_t jr = 0; jr < ncb; jr += nr) {
-          const std::uint64_t* bp = b_panel.sliver(jr / nr);
-          const std::size_t nrb = std::min(nr, ncb - jr);
-          for (std::size_t ir = 0; ir < mcb; ir += mr) {
-            const std::uint64_t* ap = a_panel.sliver(ir / mr);
-            const std::size_t mrb = std::min(mr, mcb - ir);
-            LDLA_ASSERT_ALIGNED(ap, 8);
-            LDLA_ASSERT_ALIGNED(bp, 8);
-            if (mrb == mr && nrb == nr) {
-              kern.fn(kcb_padded, ap, bp, &c.at(ic + ir, jc + jr), c.ld);
-            } else {
-              // Edge tile: compute into a zeroed temporary, copy the valid
-              // region out (padded rows are zero so the extra work is nil).
-              std::uint32_t tile[16 * 16];
-              LDLA_ASSERT(mr * nr <= 256);
-              std::memset(tile, 0, mr * nr * sizeof(std::uint32_t));
-              kern.fn(kcb_padded, ap, bp, tile, nr);
-              for (std::size_t i = 0; i < mrb; ++i) {
-                for (std::size_t j = 0; j < nrb; ++j) {
-                  c.at(ic + ir + i, jc + jr + j) += tile[i * nr + j];
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+  const bool same = same_operand(a, b);
+  const PackedBitMatrix pa(a, plan, same ? PackSides::kBoth : PackSides::kA);
+  std::optional<PackedBitMatrix> pb;
+  if (!same) pb.emplace(b, plan, PackSides::kB);
+  gemm_count_packed(pa, 0, a.n_snps, same ? pa : *pb, 0, b.n_snps, c);
 }
-
 
 void gemm_count_packed(const PackedBitMatrix& a, std::size_t a_begin,
                        std::size_t a_end, const PackedBitMatrix& b,
@@ -314,37 +236,26 @@ void gemm_count_parallel(const BitMatrixView& a, const BitMatrixView& b,
   if (threads == 0) {
     threads = default_thread_count();
   }
-  if (threads == 1 || a.n_snps < 2) {
+  const GemmPlan plan = resolve_plan(cfg, a.n_words);
+  if (threads == 1 || a.n_snps < 2 || !plan.packing) {
     gemm_count(a, b, c, cfg);
     return;
   }
 
+  // Pack once (as a team), share the immutable slivers across every
+  // worker's row block.
   const std::vector<Range> ranges = split_uniform(a.n_snps, threads);
-  const GemmPlan plan = resolve_plan(cfg, a.n_words);
-  if (plan.packing && cfg.pack_once) {
-    // Pack once (as a team), share the immutable slivers across every
-    // worker — this removes the historical per-thread duplicate B pack.
-    const bool same = same_operand(a, b);
-    const PackedBitMatrix pa(a, plan, same ? PackSides::kBoth : PackSides::kA,
-                             threads);
-    std::optional<PackedBitMatrix> pb_store;
-    if (!same) pb_store.emplace(b, plan, PackSides::kB, threads);
-    const PackedBitMatrix& pb = same ? pa : *pb_store;
-    global_pool().run_tasks(ranges.size(), [&](std::size_t t) {
-      const Range r = ranges[t];
-      CountMatrixRef out{c.data + r.begin * c.ld, r.size(), c.cols, c.ld};
-      gemm_count_packed(pa, r.begin, r.end, pb, 0, b.n_snps, out);
-    });
-  } else {
-    global_pool().run_tasks(ranges.size(), [&](std::size_t t) {
-      const Range r = ranges[t];
-      BitMatrixView slice = a;
-      slice.data = a.data + r.begin * a.stride_words;
-      slice.n_snps = r.size();
-      CountMatrixRef out{c.data + r.begin * c.ld, r.size(), c.cols, c.ld};
-      gemm_count(slice, b, out, cfg);
-    });
-  }
+  const bool same = same_operand(a, b);
+  const PackedBitMatrix pa(a, plan, same ? PackSides::kBoth : PackSides::kA,
+                           threads);
+  std::optional<PackedBitMatrix> pb_store;
+  if (!same) pb_store.emplace(b, plan, PackSides::kB, threads);
+  const PackedBitMatrix& pb = same ? pa : *pb_store;
+  global_pool().run_tasks(ranges.size(), [&](std::size_t t) {
+    const Range r = ranges[t];
+    CountMatrixRef out{c.data + r.begin * c.ld, r.size(), c.cols, c.ld};
+    gemm_count_packed(pa, r.begin, r.end, pb, 0, b.n_snps, out);
+  });
 }
 
 namespace {

@@ -39,9 +39,8 @@ using CountTileSink = std::function<void(const CountTile&)>;
 
 /// Full rectangular count GEMM. C must be at least a.n_snps x b.n_snps.
 /// Both operands must have the same word count (same sample universe).
-/// With cfg.pack_once (the default) the operands are packed whole and the
-/// persistent-sliver macro-kernel runs; pack_once = false is the original
-/// per-block fresh-pack path (the bench_pack_reuse ablation control).
+/// The operands are packed whole and the persistent-sliver macro-kernel
+/// runs; cfg.packing = false runs the unpacked ablation instead.
 void gemm_count(const BitMatrixView& a, const BitMatrixView& b,
                 CountMatrixRef c, const GemmConfig& cfg = {});
 
@@ -75,11 +74,10 @@ GemmPlan gemm_plan_for(const BitMatrixView& a, const GemmConfig& cfg = {});
 
 /// Threaded variant of gemm_count: the m dimension is split into `threads`
 /// row blocks executed on the process-wide global_pool() (execution
-/// parallelism is additionally capped by that pool's size). With
-/// cfg.pack_once the operands are packed exactly once and every worker
-/// reads the shared immutable slivers; the fresh-pack ablation gives each
-/// worker private packing buffers (the historical per-thread duplicate
-/// B-pack). threads = 0 means hardware concurrency. Results identical to
+/// parallelism is additionally capped by that pool's size). The operands
+/// are packed exactly once and every worker reads the shared immutable
+/// slivers; the unpacked ablation (cfg.packing = false) runs sequentially.
+/// threads = 0 means hardware concurrency. Results identical to
 /// gemm_count.
 void gemm_count_parallel(const BitMatrixView& a, const BitMatrixView& b,
                          CountMatrixRef c, const GemmConfig& cfg = {},

@@ -1,8 +1,8 @@
 // In-nest parallel fused count drivers (BLIS-style jr/ic parallelism).
 //
-// The coarse parallel drivers split the *problem* into per-worker row slabs,
-// each running a full sequential 5-loop nest. These drivers instead put the
-// team *inside* one nest: the operands are packed once (shared, immutable),
+// Rather than splitting the *problem* into per-worker row slabs, each
+// running a full sequential 5-loop nest, these drivers put the team
+// *inside* one nest: the operands are packed once (shared, immutable),
 // the (ic, jr) macro-tile grid of every jc panel is cut into mc x (q·nr)
 // chunks, and the team drains those chunks through per-member Chase–Lev
 // deques — LIFO locally for cache locality, FIFO steals from the far end of

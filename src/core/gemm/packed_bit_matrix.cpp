@@ -334,7 +334,7 @@ void expect_packed_matches(const PackedBitMatrix& p, const BitMatrixView& m) {
               "packed operand shape does not match the bit matrix");
 }
 
-const PackedBitMatrix* resolve_packed(const BitMatrixView& m,
+const PackedBitMatrix& resolve_packed(const BitMatrixView& m,
                                       const GemmConfig& cfg,
                                       const PackedBitMatrix* supplied,
                                       PackSides sides,
@@ -342,13 +342,9 @@ const PackedBitMatrix* resolve_packed(const BitMatrixView& m,
                                       unsigned threads) {
   if (supplied != nullptr) {
     expect_packed_matches(*supplied, m);
-    return supplied;
+    return *supplied;
   }
-  if (!cfg.pack_once || m.n_snps == 0 || m.n_words == 0) return nullptr;
-  const GemmPlan plan = resolve_plan(cfg, m.n_words);
-  if (!plan.packing) return nullptr;
-  own.emplace(m, plan, sides, threads);
-  return &*own;
+  return own.emplace(m, resolve_plan(cfg, m.n_words), sides, threads);
 }
 
 }  // namespace ldla

@@ -264,11 +264,10 @@ void expect_packed_matches(const PackedBitMatrix& p, const BitMatrixView& m);
 
 /// Driver helper: pick the packed operand for a call site. A caller-
 /// supplied pack wins (shape-checked against `m`; the caller must have
-/// built it from the same data with the same GemmConfig). Otherwise, when
-/// `cfg` resolves to a packing plan and cfg.pack_once is on, `m` is packed
-/// into `own` and that pack is returned. Returns nullptr when the call
-/// should take the fresh-pack (or unpacked-ablation) path instead.
-const PackedBitMatrix* resolve_packed(const BitMatrixView& m,
+/// built it from the same data with the same GemmConfig). Otherwise `m` is
+/// packed into `own` (as a team of `threads`) and that pack is returned;
+/// a `cfg` without packing fails the PackedBitMatrix contract.
+const PackedBitMatrix& resolve_packed(const BitMatrixView& m,
                                       const GemmConfig& cfg,
                                       const PackedBitMatrix* supplied,
                                       PackSides sides,

@@ -27,7 +27,7 @@ void pack_panel(const BitMatrixView& m, std::size_t row_begin,
   const std::size_t kc_padded = (kc + ku - 1) / ku * ku;
   const std::size_t k_avail = std::min(kc, m.n_words - k_begin);
 
-  // Every packing path (persistent pack_side and the fresh-pack drivers)
+  // Every packing path (persistent pack_side and pack_panel_view)
   // funnels through here, making this the sliver/byte accounting choke point.
   LDLA_TRACE_ADD_PACK(static_cast<std::uint64_t>(slivers),
                       static_cast<std::uint64_t>(slivers * r * kc_padded * 8));

@@ -198,93 +198,8 @@ void syrk_count(const BitMatrixView& a, CountMatrixRef c,
     gemm_count(a, a, c, cfg);
     return;
   }
-  if (cfg.pack_once) {
-    const PackedBitMatrix pa(a, plan, PackSides::kBoth);
-    syrk_count_packed(pa, 0, n, c, triangular_only);
-    return;
-  }
-
-  // Fresh-pack ablation control: the original per-block packing nest.
-  // Zero the lower triangle (the part we accumulate into).
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memset(&c.at(i, 0), 0, (i + 1) * sizeof(std::uint32_t));
-  }
-
-  const KernelInfo& kern = kernel_for_plan(plan);
-  const std::size_t mr = plan.mr;
-  const std::size_t nr = plan.nr;
-  const std::size_t ku = plan.ku;
-  const std::size_t k = a.n_words;
-
-  const std::size_t mc = std::min(plan.mc, (n + mr - 1) / mr * mr);
-  const std::size_t nc = std::min(plan.nc, (n + nr - 1) / nr * nr);
-  const std::size_t kc = std::min(plan.kc_words, (k + ku - 1) / ku * ku);
-
-  AlignedBuffer<std::uint64_t> a_pack(packed_panel_words(mc, kc, mr, ku));
-  AlignedBuffer<std::uint64_t> b_pack(packed_panel_words(nc, kc, nr, ku));
-
-  for (std::size_t jc = 0; jc < n; jc += nc) {
-    const std::size_t ncb = std::min(nc, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += kc) {
-      const std::size_t kcb = std::min(kc, k - pc);
-      const std::size_t kcb_padded = (kcb + ku - 1) / ku * ku;
-      const PackedPanelView b_panel = [&] {
-        LDLA_TRACE_SPAN(kPackB);
-        return pack_panel_view(a, jc, ncb, pc, kcb, nr, ku, b_pack.data());
-      }();
-
-      // Only row blocks that intersect the lower triangle of this column
-      // panel: rows >= jc (snapped down to an mc boundary).
-      const std::size_t ic_start = (jc / mc) * mc;
-      for (std::size_t ic = ic_start; ic < n; ic += mc) {
-        const std::size_t mcb = std::min(mc, n - ic);
-        const PackedPanelView a_panel = [&] {
-          LDLA_TRACE_SPAN(kPackA);
-          return pack_panel_view(a, ic, mcb, pc, kcb, mr, ku, a_pack.data());
-        }();
-
-        LDLA_TRACE_SPAN(kKernel);
-        std::uint64_t block_calls = 0;
-        for (std::size_t jr = 0; jr < ncb; jr += nr) {
-          const std::uint64_t* bp = b_panel.sliver(jr / nr);
-          const std::size_t nrb = std::min(nr, ncb - jr);
-          const std::size_t j_global = jc + jr;
-          for (std::size_t ir = 0; ir < mcb; ir += mr) {
-            const std::size_t i_global = ic + ir;
-            // Skip tiles strictly above the diagonal band.
-            if (i_global + mr <= j_global) continue;
-            ++block_calls;
-            const std::uint64_t* ap = a_panel.sliver(ir / mr);
-            const std::size_t mrb = std::min(mr, mcb - ir);
-            LDLA_ASSERT_ALIGNED(ap, 8);
-            LDLA_ASSERT_ALIGNED(bp, 8);
-            if (mrb == mr && nrb == nr && i_global >= j_global + nr - 1) {
-              // Tile entirely on/below the diagonal: write straight to C.
-              kern.fn(kcb_padded, ap, bp, &c.at(i_global, j_global), c.ld);
-            } else {
-              // Diagonal-crossing or edge tile: temporary, then copy only
-              // the lower-triangle entries.
-              std::uint32_t tile[16 * 16];
-              std::memset(tile, 0, mr * nr * sizeof(std::uint32_t));
-              kern.fn(kcb_padded, ap, bp, tile, nr);
-              for (std::size_t i = 0; i < mrb; ++i) {
-                for (std::size_t j = 0; j < nrb; ++j) {
-                  if (i_global + i >= j_global + j) {
-                    c.at(i_global + i, j_global + j) += tile[i * nr + j];
-                  }
-                }
-              }
-            }
-          }
-        }
-        LDLA_TRACE_ADD_KERNEL(
-            block_calls,
-            block_calls * static_cast<std::uint64_t>(mr * nr * kcb_padded));
-      }
-    }
-  }
-
-  if (!triangular_only) mirror_lower_to_upper(c, n);
+  const PackedBitMatrix pa(a, plan, PackSides::kBoth);
+  syrk_count_packed(pa, 0, n, c, triangular_only);
 }
 
 }  // namespace ldla

@@ -16,9 +16,9 @@ namespace ldla {
 /// accumulated). With triangular_only only the lower triangle and diagonal
 /// are guaranteed valid (the upper triangle is unspecified) — consumers
 /// that read C(i, j) with i >= j only skip the mirror pass entirely.
-/// cfg.pack_once (default) packs the operand whole — once for both sides
-/// when mr == nr — and runs the packed driver; pack_once = false is the
-/// original per-block fresh-pack path.
+/// The operand is packed whole — once for both sides when mr == nr — and
+/// the packed driver runs; cfg.packing = false runs the unpacked ablation
+/// through the rectangular driver.
 void syrk_count(const BitMatrixView& a, CountMatrixRef c,
                 const GemmConfig& cfg = {}, bool triangular_only = false);
 

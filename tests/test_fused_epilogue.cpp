@@ -1,25 +1,30 @@
-// Property sweep for the fused statistics epilogue: the single-pass
-// pipeline (stats written straight from hot count tiles, no intermediate
-// CountMatrix) must be bit-identical to the two-pass ablation across
-// stat x kernel arch x blocking params x ragged shapes x unaligned band
-// and omega windows x sequential/parallel drivers.
+// Property sweep for the fused statistics epilogue: every LD, band and ω
+// driver converts count tiles to statistics in the tile sink, and the
+// result must match the naive per-bit oracle across stat x kernel arch x
+// blocking params (including no blocking) x ragged shapes x unaligned
+// band and omega windows x sequential/parallel drivers. The tile-geometry
+// contracts of the scans are asserted directly.
 #include "core/ld.hpp"
 
+#include <algorithm>
 #include <array>
-#include <bit>
+#include <cmath>
 #include <cstdint>
-#include <map>
-#include <mutex>
+#include <optional>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/naive.hpp"
 #include "core/band.hpp"
 #include "core/gemm/kernel.hpp"
 #include "core/gemm/macro.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/parallel.hpp"
+#include "omega/omega_stat.hpp"
 #include "omega/sweep_scan.hpp"
 #include "sim/rng.hpp"
 
@@ -46,226 +51,230 @@ const std::vector<std::pair<std::size_t, std::size_t>> kShapes = {
 constexpr std::array<LdStatistic, 3> kStats = {
     LdStatistic::kD, LdStatistic::kDPrime, LdStatistic::kRSquared};
 
+// Auto, tiny blocks (many panels and edge tiles), kc forcing several k
+// panels, and no blocking at all (one giant cache tile whose mc/nc are
+// effectively unbounded).
 std::vector<GemmConfig> blocking_configs(KernelArch arch) {
-  std::vector<GemmConfig> cfgs(3);
+  std::vector<GemmConfig> cfgs(4);
   cfgs[1].kc_words = 2;
   cfgs[1].mc = 8;
   cfgs[1].nc = 8;
   cfgs[2].kc_words = 3;
   cfgs[2].mc = 24;
   cfgs[2].nc = 16;
+  cfgs[3].blocking = false;
   for (GemmConfig& cfg : cfgs) cfg.arch = arch;
   return cfgs;
 }
 
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+/// Naive oracle: LD of every (row of a, row of b) pair from per-bit counts.
+LdMatrix oracle_ld(const BitMatrix& a, const BitMatrix& b,
+                   const CountMatrix& counts, LdStatistic stat) {
+  LdMatrix out(a.snps(), b.snps());
+  for (std::size_t i = 0; i < a.snps(); ++i) {
+    for (std::size_t j = 0; j < b.snps(); ++j) {
+      out(i, j) = ld_value(stat, a.derived_count(i), b.derived_count(j),
+                           counts(i, j), a.samples());
+    }
+  }
+  return out;
 }
 
-void expect_same_matrix(const LdMatrix& got, const LdMatrix& want,
+void expect_near(double got, double want, const char* what, std::size_t i,
+                 std::size_t j) {
+  if (std::isnan(want)) {
+    ASSERT_TRUE(std::isnan(got)) << what << " at (" << i << "," << j << ")";
+  } else {
+    ASSERT_NEAR(got, want, 1e-12) << what << " at (" << i << "," << j << ")";
+  }
+}
+
+void expect_matrix_near(const LdMatrix& got, const LdMatrix& want,
                         const char* what) {
   ASSERT_EQ(got.rows(), want.rows()) << what;
   ASSERT_EQ(got.cols(), want.cols()) << what;
   for (std::size_t i = 0; i < want.rows(); ++i) {
     for (std::size_t j = 0; j < want.cols(); ++j) {
-      ASSERT_TRUE(same_bits(got(i, j), want(i, j)))
-          << what << " at (" << i << "," << j << ")";
+      expect_near(got(i, j), want(i, j), what, i, j);
     }
   }
 }
 
-// Full tile capture (geometry + payload): the fused scans promise not just
-// the same values but the same tile stream as the two-pass path.
-struct TileRecord {
-  std::size_t row_begin, col_begin, rows, cols;
-  std::vector<double> values;
-};
-
-std::vector<TileRecord> record_tiles(const LdTile& tile,
-                                     std::vector<TileRecord>&& acc) {
-  TileRecord r{tile.row_begin, tile.col_begin, tile.rows, tile.cols, {}};
-  r.values.reserve(tile.rows * tile.cols);
-  for (std::size_t i = 0; i < tile.rows; ++i) {
-    for (std::size_t j = 0; j < tile.cols; ++j) {
-      r.values.push_back(tile.at(i, j));
-    }
-  }
-  acc.push_back(std::move(r));
-  return std::move(acc);
-}
-
-void expect_same_tiles(const std::vector<TileRecord>& got,
-                       const std::vector<TileRecord>& want,
-                       const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t t = 0; t < want.size(); ++t) {
-    EXPECT_EQ(got[t].row_begin, want[t].row_begin) << what << " tile " << t;
-    EXPECT_EQ(got[t].col_begin, want[t].col_begin) << what << " tile " << t;
-    EXPECT_EQ(got[t].rows, want[t].rows) << what << " tile " << t;
-    EXPECT_EQ(got[t].cols, want[t].cols) << what << " tile " << t;
-    ASSERT_EQ(got[t].values.size(), want[t].values.size()) << what;
-    for (std::size_t v = 0; v < want[t].values.size(); ++v) {
-      ASSERT_TRUE(same_bits(got[t].values[v], want[t].values[v]))
-          << what << " tile " << t << " value " << v;
+/// Every entry of a tile against the oracle, by global index.
+void expect_tile_near(const LdTile& t, const LdMatrix& want,
+                      const char* what) {
+  for (std::size_t i = 0; i < t.rows; ++i) {
+    for (std::size_t j = 0; j < t.cols; ++j) {
+      expect_near(t.at(i, j), want(t.row_begin + i, t.col_begin + j), what,
+                  t.row_begin + i, t.col_begin + j);
     }
   }
 }
 
 class FusedEpilogue : public ::testing::TestWithParam<KernelArch> {};
 
-TEST_P(FusedEpilogue, LdMatrixBitIdenticalToTwoPass) {
+TEST_P(FusedEpilogue, LdMatrixMatchesNaive) {
   for (const auto& [n, k] : kShapes) {
     const BitMatrix g = random_matrix(n, k, n * 57 + k);
-    for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-      for (const LdStatistic stat : kStats) {
-        LdOptions fused;
-        fused.gemm = cfg;
-        fused.stat = stat;
-        LdOptions two_pass = fused;
-        two_pass.fused = false;
-        expect_same_matrix(ld_matrix(g, fused), ld_matrix(g, two_pass),
+    const CountMatrix counts = naive_count_matrix(g, g);
+    for (const LdStatistic stat : kStats) {
+      const LdMatrix want = oracle_ld(g, g, counts, stat);
+      for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+        LdOptions opts;
+        opts.gemm = cfg;
+        opts.stat = stat;
+        expect_matrix_near(ld_matrix(g, opts), want,
                            ld_statistic_name(stat).c_str());
       }
     }
   }
 }
 
-TEST_P(FusedEpilogue, CrossMatrixBitIdenticalToTwoPass) {
+TEST_P(FusedEpilogue, CrossMatrixMatchesNaive) {
   for (const auto& [n, k] : kShapes) {
     const BitMatrix a = random_matrix(n, k, n * 77 + k);
     const BitMatrix b = random_matrix((n * 2) / 3 + 1, k, n * 131 + k);
-    for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-      for (const LdStatistic stat : kStats) {
-        LdOptions fused;
-        fused.gemm = cfg;
-        fused.stat = stat;
-        LdOptions two_pass = fused;
-        two_pass.fused = false;
-        expect_same_matrix(ld_cross_matrix(a, b, fused),
-                           ld_cross_matrix(a, b, two_pass),
+    const CountMatrix counts = naive_count_matrix(a, b);
+    for (const LdStatistic stat : kStats) {
+      const LdMatrix want = oracle_ld(a, b, counts, stat);
+      for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+        LdOptions opts;
+        opts.gemm = cfg;
+        opts.stat = stat;
+        expect_matrix_near(ld_cross_matrix(a, b, opts), want,
                            ld_statistic_name(stat).c_str());
       }
     }
   }
 }
 
-TEST_P(FusedEpilogue, ScansEmitIdenticalTileStreams) {
+// Slab scans: tiles arrive in row order; a slab of rows [r0, r1) comes with
+// columns [0, r1) (ld_scan) or [0, n_b) (ld_cross_scan), and every value in
+// the tile — above-diagonal trapezoid entries included — is valid LD.
+TEST_P(FusedEpilogue, ScansEmitDocumentedSlabsWithNaiveValues) {
   const BitMatrix g = random_matrix(93, 323, 41);
   const BitMatrix b = random_matrix(45, 323, 43);
-  for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-    for (const LdStatistic stat : kStats) {
-      LdOptions fused;
-      fused.gemm = cfg;
-      fused.stat = stat;
-      fused.slab_rows = 17;  // off every tile boundary
-      LdOptions two_pass = fused;
-      two_pass.fused = false;
+  const std::size_t n = g.snps();
+  constexpr std::size_t kSlab = 17;  // off every tile boundary
+  const CountMatrix gg = naive_count_matrix(g, g);
+  const CountMatrix gb = naive_count_matrix(g, b);
+  for (const LdStatistic stat : kStats) {
+    const LdMatrix want_g = oracle_ld(g, g, gg, stat);
+    const LdMatrix want_b = oracle_ld(g, b, gb, stat);
+    for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+      LdOptions opts;
+      opts.gemm = cfg;
+      opts.stat = stat;
+      opts.slab_rows = kSlab;
 
-      std::vector<TileRecord> ft, tt;
-      ld_scan(g, [&](const LdTile& t) { ft = record_tiles(t, std::move(ft)); },
-              fused);
-      ld_scan(g, [&](const LdTile& t) { tt = record_tiles(t, std::move(tt)); },
-              two_pass);
-      expect_same_tiles(ft, tt, "ld_scan");
+      std::size_t next = 0;
+      ld_scan(g, [&](const LdTile& t) {
+        const std::size_t r1 = std::min(next + kSlab, n);
+        ASSERT_EQ(t.row_begin, next);
+        ASSERT_EQ(t.rows, r1 - next);
+        ASSERT_EQ(t.col_begin, 0u);
+        ASSERT_EQ(t.cols, r1);
+        expect_tile_near(t, want_g, "ld_scan");
+        next = r1;
+      }, opts);
+      EXPECT_EQ(next, n);
 
-      std::vector<TileRecord> fc, tc;
-      ld_cross_scan(
-          g, b, [&](const LdTile& t) { fc = record_tiles(t, std::move(fc)); },
-          fused);
-      ld_cross_scan(
-          g, b, [&](const LdTile& t) { tc = record_tiles(t, std::move(tc)); },
-          two_pass);
-      expect_same_tiles(fc, tc, "ld_cross_scan");
+      next = 0;
+      ld_cross_scan(g, b, [&](const LdTile& t) {
+        const std::size_t r1 = std::min(next + kSlab, n);
+        ASSERT_EQ(t.row_begin, next);
+        ASSERT_EQ(t.rows, r1 - next);
+        ASSERT_EQ(t.col_begin, 0u);
+        ASSERT_EQ(t.cols, b.snps());
+        expect_tile_near(t, want_b, "ld_cross_scan");
+        next = r1;
+      }, opts);
+      EXPECT_EQ(next, n);
     }
   }
 }
 
-TEST_P(FusedEpilogue, BandScanBitIdenticalAtUnalignedWindows) {
+TEST_P(FusedEpilogue, BandScanMatchesNaiveAtUnalignedWindows) {
   const BitMatrix g = random_matrix(90, 129, 47);
+  const std::size_t n = g.snps();
+  constexpr std::size_t kSlab = 13;
+  const LdMatrix want =
+      oracle_ld(g, g, naive_count_matrix(g, g), LdStatistic::kRSquared);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
     // Bandwidths and slabs chosen so column windows start/end off every
     // sliver and cache-tile boundary.
     for (const std::size_t bandwidth : {1ul, 11ul, 37ul}) {
-      BandOptions fused;
-      fused.gemm = cfg;
-      fused.slab_rows = 13;
-      BandOptions two_pass = fused;
-      two_pass.fused = false;
-
-      std::vector<TileRecord> ft, tt;
-      ld_band_scan(
-          g, bandwidth,
-          [&](const LdTile& t) { ft = record_tiles(t, std::move(ft)); },
-          fused);
-      ld_band_scan(
-          g, bandwidth,
-          [&](const LdTile& t) { tt = record_tiles(t, std::move(tt)); },
-          two_pass);
-      expect_same_tiles(ft, tt, "ld_band_scan");
+      BandOptions opts;
+      opts.gemm = cfg;
+      opts.slab_rows = kSlab;
+      std::size_t next = 0;
+      ld_band_scan(g, bandwidth, [&](const LdTile& t) {
+        const std::size_t r1 = std::min(next + kSlab, n);
+        const std::size_t c0 = next > bandwidth ? next - bandwidth : 0;
+        ASSERT_EQ(t.row_begin, next);
+        ASSERT_EQ(t.rows, r1 - next);
+        ASSERT_EQ(t.col_begin, c0);
+        ASSERT_EQ(t.cols, r1 - c0);
+        expect_tile_near(t, want, "ld_band_scan");
+        next = r1;
+      }, opts);
+      EXPECT_EQ(next, n);
     }
   }
 }
 
+// Stat scans: tiles follow the cache blocking (at most mc x nc), carry only
+// canonical pairs (j <= i) in the symmetric case, and cover each pair
+// exactly once. The no-blocking config exercises effectively unbounded mc
+// and nc, which the stat-tile buffer must not multiply unclamped.
 TEST_P(FusedEpilogue, StatScanCoversCanonicalPairsExactlyOnce) {
   const BitMatrix g = random_matrix(70, 129, 53);
   const std::size_t n = g.snps();
+  const LdMatrix want =
+      oracle_ld(g, g, naive_count_matrix(g, g), LdStatistic::kRSquared);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+    const GemmPlan plan = gemm_plan_for(g.view(), cfg);
     LdOptions opts;
     opts.gemm = cfg;
-    const LdMatrix want = ld_matrix(g, opts);
-
-    // Packed fused path and the two-pass fallback (no packing plan) must
-    // both deliver every canonical pair exactly once and nothing else.
-    for (const bool pack_once : {true, false}) {
-      LdOptions scan_opts = opts;
-      scan_opts.gemm.pack_once = pack_once;
-      std::map<std::pair<std::size_t, std::size_t>, double> seen;
-      ld_stat_scan(g, [&](const LdTile& tile) {
-        for (std::size_t i = 0; i < tile.rows; ++i) {
-          for (std::size_t j = 0; j < tile.cols; ++j) {
-            const auto key = std::pair(tile.row_begin + i, tile.col_begin + j);
-            ASSERT_LE(key.second, key.first) << "non-canonical entry emitted";
-            ASSERT_EQ(seen.count(key), 0u) << "duplicate pair";
-            seen[key] = tile.at(i, j);
-          }
+    std::set<std::pair<std::size_t, std::size_t>> seen;
+    ld_stat_scan(g, [&](const LdTile& t) {
+      ASSERT_LE(t.rows, plan.mc);
+      ASSERT_LE(t.cols, plan.nc);
+      for (std::size_t i = 0; i < t.rows; ++i) {
+        for (std::size_t j = 0; j < t.cols; ++j) {
+          const auto key = std::pair(t.row_begin + i, t.col_begin + j);
+          ASSERT_LE(key.second, key.first) << "non-canonical entry emitted";
+          ASSERT_TRUE(seen.insert(key).second) << "duplicate pair";
         }
-      }, scan_opts);
-      ASSERT_EQ(seen.size(), ld_pair_count(n));
-      for (const auto& [key, v] : seen) {
-        ASSERT_TRUE(same_bits(v, want(key.first, key.second)))
-            << "(" << key.first << "," << key.second
-            << ") pack_once=" << pack_once;
       }
-    }
+      expect_tile_near(t, want, "ld_stat_scan");
+    }, opts);
+    ASSERT_EQ(seen.size(), ld_pair_count(n));
   }
 }
 
 TEST_P(FusedEpilogue, CrossStatScanCoversEveryPairExactlyOnce) {
   const BitMatrix a = random_matrix(33, 323, 59);
   const BitMatrix b = random_matrix(23, 323, 61);
+  const LdMatrix want =
+      oracle_ld(a, b, naive_count_matrix(a, b), LdStatistic::kRSquared);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+    const GemmPlan plan = gemm_plan_for(a.view(), cfg);
     LdOptions opts;
     opts.gemm = cfg;
-    const LdMatrix want = ld_cross_matrix(a, b, opts);
-
-    for (const bool pack_once : {true, false}) {
-      LdOptions scan_opts = opts;
-      scan_opts.gemm.pack_once = pack_once;
-      std::map<std::pair<std::size_t, std::size_t>, double> seen;
-      ld_cross_stat_scan(a, b, [&](const LdTile& tile) {
-        for (std::size_t i = 0; i < tile.rows; ++i) {
-          for (std::size_t j = 0; j < tile.cols; ++j) {
-            const auto key = std::pair(tile.row_begin + i, tile.col_begin + j);
-            ASSERT_EQ(seen.count(key), 0u) << "duplicate pair";
-            seen[key] = tile.at(i, j);
-          }
+    std::set<std::pair<std::size_t, std::size_t>> seen;
+    ld_cross_stat_scan(a, b, [&](const LdTile& t) {
+      ASSERT_LE(t.rows, plan.mc);
+      ASSERT_LE(t.cols, plan.nc);
+      for (std::size_t i = 0; i < t.rows; ++i) {
+        for (std::size_t j = 0; j < t.cols; ++j) {
+          const auto key = std::pair(t.row_begin + i, t.col_begin + j);
+          ASSERT_TRUE(seen.insert(key).second) << "duplicate pair";
         }
-      }, scan_opts);
-      ASSERT_EQ(seen.size(), a.snps() * b.snps());
-      for (const auto& [key, v] : seen) {
-        ASSERT_TRUE(same_bits(v, want(key.first, key.second)));
       }
-    }
+      expect_tile_near(t, want, "ld_cross_stat_scan");
+    }, opts);
+    ASSERT_EQ(seen.size(), a.snps() * b.snps());
   }
 }
 
@@ -281,73 +290,99 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- parallel drivers and omega windows ---------------------------------
 
-TEST(FusedEpilogueParallel, ParallelScanBitIdenticalToTwoPass) {
+TEST(FusedEpilogueParallel, ParallelScanMatchesNaiveFromCallingThread) {
   const BitMatrix g = random_matrix(93, 200, 67);
+  const std::size_t n = g.snps();
+  constexpr std::size_t kSlab = 17;
+  const CountMatrix counts = naive_count_matrix(g, g);
+  const std::thread::id caller = std::this_thread::get_id();
   for (const LdStatistic stat : kStats) {
-    LdOptions fused;
-    fused.stat = stat;
-    fused.slab_rows = 17;
-    LdOptions two_pass = fused;
-    two_pass.fused = false;
-
-    // Tile arrival order is nondeterministic across workers, and the
-    // above-diagonal slack a trapezoid tile carries depends on the work
-    // partition (nest slabs span [0, n), coarse slabs stop at each range
-    // boundary): compare the canonical (j <= i) per-pair value maps — the
-    // scan contract — and require each canonical pair exactly once.
-    const auto collect = [&](const LdOptions& opts) {
-      std::map<std::pair<std::size_t, std::size_t>, double> seen;
-      std::mutex mu;
-      ld_scan_parallel(
-          g,
-          [&](const LdTile& tile) {
-            const std::lock_guard<std::mutex> lock(mu);
-            for (std::size_t i = 0; i < tile.rows; ++i) {
-              const std::size_t gi = tile.row_begin + i;
-              for (std::size_t j = 0; j < tile.cols; ++j) {
-                const std::size_t gj = tile.col_begin + j;
-                if (gj > gi) continue;
-                const bool fresh =
-                    seen.emplace(std::make_pair(gi, gj), tile.at(i, j))
-                        .second;
-                EXPECT_TRUE(fresh) << "duplicate pair (" << gi << "," << gj
-                                   << ")";
-              }
-            }
-          },
-          opts, 3);
-      return seen;
-    };
-    const auto a = collect(fused);
-    const auto b = collect(two_pass);
-    ASSERT_EQ(a.size(), b.size());
-    for (const auto& [key, v] : a) {
-      const auto it = b.find(key);
-      ASSERT_NE(it, b.end());
-      ASSERT_TRUE(same_bits(v, it->second))
-          << "(" << key.first << "," << key.second << ")";
-    }
+    const LdMatrix want = oracle_ld(g, g, counts, stat);
+    LdOptions opts;
+    opts.stat = stat;
+    opts.slab_rows = kSlab;
+    // The team works inside each slab's nest; the visitor fires in slab
+    // order from this thread, so it needs no locking.
+    std::size_t next = 0;
+    ld_scan_parallel(
+        g,
+        [&](const LdTile& t) {
+          ASSERT_EQ(std::this_thread::get_id(), caller);
+          const std::size_t r1 = std::min(next + kSlab, n);
+          ASSERT_EQ(t.row_begin, next);
+          ASSERT_EQ(t.rows, r1 - next);
+          ASSERT_EQ(t.cols, r1);
+          expect_tile_near(t, want, "ld_scan_parallel");
+          next = r1;
+        },
+        opts, 3);
+    EXPECT_EQ(next, n);
   }
 }
 
-TEST(FusedEpilogueParallel, ParallelMatricesBitIdenticalToTwoPass) {
+TEST(FusedEpilogueParallel, ParallelMatricesMatchNaive) {
   const BitMatrix g = random_matrix(70, 129, 71);
   const BitMatrix b = random_matrix(33, 129, 73);
+  const CountMatrix gg = naive_count_matrix(g, g);
+  const CountMatrix gb = naive_count_matrix(g, b);
   for (const LdStatistic stat : kStats) {
-    LdOptions fused;
-    fused.stat = stat;
-    fused.slab_rows = 17;
-    LdOptions two_pass = fused;
-    two_pass.fused = false;
-    expect_same_matrix(ld_matrix_parallel(g, fused, 3),
-                       ld_matrix_parallel(g, two_pass, 3), "ld_matrix_parallel");
-    expect_same_matrix(ld_cross_matrix_parallel(g, b, fused, 3),
-                       ld_cross_matrix_parallel(g, b, two_pass, 3),
-                       "ld_cross_matrix_parallel");
+    LdOptions opts;
+    opts.stat = stat;
+    opts.slab_rows = 17;
+    expect_matrix_near(ld_matrix_parallel(g, opts, 3),
+                       oracle_ld(g, g, gg, stat), "ld_matrix_parallel");
+    expect_matrix_near(ld_cross_matrix_parallel(g, b, opts, 3),
+                       oracle_ld(g, b, gb, stat), "ld_cross_matrix_parallel");
   }
 }
 
-TEST(FusedEpilogueOmega, OmegaScanBitIdenticalAtUnalignedWindows) {
+/// Naive ω oracle: the scan's grid and window rules, with each window's r²
+/// built from per-bit pair counts over its polymorphic SNPs.
+std::vector<OmegaPoint> oracle_omega(const BitMatrix& g,
+                                     const std::vector<double>& positions,
+                                     const SweepScanParams& params) {
+  const auto window = [&](double x, std::size_t center,
+                          std::size_t half) -> std::optional<OmegaPoint> {
+    const std::size_t begin = center > half ? center - half : 0;
+    const std::size_t end = std::min(g.snps(), center + half);
+    std::vector<std::size_t> keep;
+    for (std::size_t s = begin; s < end; ++s) {
+      if (g.is_polymorphic(s)) keep.push_back(s);
+    }
+    if (end - begin < 4 || keep.size() < 4) return std::nullopt;
+    LdMatrix r2(keep.size(), keep.size());
+    for (std::size_t i = 0; i < keep.size(); ++i) {
+      for (std::size_t j = 0; j < keep.size(); ++j) {
+        r2(i, j) = ld_r_squared(g.derived_count(keep[i]),
+                                g.derived_count(keep[j]),
+                                naive_pair_count(g, keep[i], g, keep[j]),
+                                g.samples());
+      }
+    }
+    const OmegaMax m = omega_max(r2);
+    return OmegaPoint{x, m.omega, begin, end, m.split};
+  };
+  std::vector<OmegaPoint> out;
+  for (std::size_t gp = 0; gp < params.grid_points; ++gp) {
+    const double x = (static_cast<double>(gp) + 0.5) /
+                     static_cast<double>(params.grid_points);
+    const std::size_t center = static_cast<std::size_t>(
+        std::lower_bound(positions.begin(), positions.end(), x) -
+        positions.begin());
+    std::optional<OmegaPoint> best = window(x, center, params.window_snps);
+    for (const std::size_t half : params.window_candidates) {
+      if (half == params.window_snps || half < 2) continue;
+      const auto candidate = window(x, center, half);
+      if (candidate && (!best || candidate->omega > best->omega)) {
+        best = candidate;
+      }
+    }
+    if (best) out.push_back(*best);
+  }
+  return out;
+}
+
+TEST(FusedEpilogueOmega, OmegaScanMatchesNaiveAtUnalignedWindows) {
   const BitMatrix g = random_matrix(160, 100, 79);
   std::vector<double> positions(g.snps());
   for (std::size_t s = 0; s < g.snps(); ++s) {
@@ -356,35 +391,35 @@ TEST(FusedEpilogueOmega, OmegaScanBitIdenticalAtUnalignedWindows) {
   }
   // Window extents chosen so [begin, end) lands off every register-tile
   // and cache-tile boundary across the grid.
-  SweepScanParams fused;
-  fused.grid_points = 12;
-  fused.window_snps = 14;
-  fused.window_candidates = {7, 25};
-  SweepScanParams two_pass = fused;
-  two_pass.fused = false;
+  SweepScanParams params;
+  params.grid_points = 12;
+  params.window_snps = 14;
+  params.window_candidates = {7, 25};
+  const std::vector<OmegaPoint> want = oracle_omega(g, positions, params);
+  ASSERT_FALSE(want.empty());
 
   for (const unsigned threads : {0u, 3u}) {
-    const std::vector<OmegaPoint> a =
-        threads == 0 ? omega_scan(g, positions, fused)
-                     : omega_scan_parallel(g, positions, fused, threads);
-    const std::vector<OmegaPoint> b =
-        threads == 0 ? omega_scan(g, positions, two_pass)
-                     : omega_scan_parallel(g, positions, two_pass, threads);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_TRUE(same_bits(a[i].omega, b[i].omega)) << "point " << i;
-      EXPECT_EQ(a[i].window_begin, b[i].window_begin);
-      EXPECT_EQ(a[i].window_end, b[i].window_end);
-      EXPECT_EQ(a[i].best_split, b[i].best_split);
+    const std::vector<OmegaPoint> got =
+        threads == 0 ? omega_scan(g, positions, params)
+                     : omega_scan_parallel(g, positions, params, threads);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_NEAR(got[i].omega, want[i].omega,
+                  1e-12 * std::max(1.0, std::abs(want[i].omega)))
+          << "point " << i;
+      EXPECT_EQ(got[i].window_begin, want[i].window_begin);
+      EXPECT_EQ(got[i].window_end, want[i].window_end);
+      EXPECT_EQ(got[i].best_split, want[i].best_split);
     }
   }
 }
 
-// ---- driver-level: fused tile streams reassemble to the packed result ----
+// ---- driver-level: fused tile streams reassemble to the naive counts -----
 
 TEST(FusedEpilogueDrivers, GemmFusedTilesReassembleExactly) {
   const BitMatrix a = random_matrix(70, 129, 83);
   const BitMatrix b = random_matrix(33, 129, 89);
+  const CountMatrix want = naive_count_matrix(a, b);
   for (const GemmConfig& cfg : blocking_configs(KernelArch::kAuto)) {
     const PackedBitMatrix pa =
         PackedBitMatrix::pack(a.view(), cfg, PackSides::kA);
@@ -394,24 +429,19 @@ TEST(FusedEpilogueDrivers, GemmFusedTilesReassembleExactly) {
     for (const auto& [a0, a1, b0, b1] :
          std::vector<std::array<std::size_t, 4>>{
              {0, 70, 0, 33}, {3, 11, 1, 30}, {17, 42, 29, 30}}) {
-      CountMatrix want(a1 - a0, b1 - b0);
-      gemm_count_packed(pa, a0, a1, pb, b0, b1, want.ref());
-      CountMatrix got(a1 - a0, b1 - b0);
-      got.zero();
-      std::size_t covered = 0;
+      std::vector<std::uint8_t> hits((a1 - a0) * (b1 - b0), 0);
       gemm_count_fused(pa, a0, a1, pb, b0, b1, [&](const CountTile& t) {
         for (std::size_t i = 0; i < t.rows; ++i) {
           for (std::size_t j = 0; j < t.cols; ++j) {
-            got(t.row_begin + i - a0, t.col_begin + j - b0) = t.row(i)[j];
-            ++covered;
+            const std::size_t gi = t.row_begin + i;
+            const std::size_t gj = t.col_begin + j;
+            ASSERT_EQ(t.row(i)[j], want(gi, gj)) << gi << "," << gj;
+            ++hits[(gi - a0) * (b1 - b0) + (gj - b0)];
           }
         }
       });
-      ASSERT_EQ(covered, (a1 - a0) * (b1 - b0)) << "tiles must partition";
-      for (std::size_t i = 0; i < a1 - a0; ++i) {
-        for (std::size_t j = 0; j < b1 - b0; ++j) {
-          ASSERT_EQ(got(i, j), want(i, j)) << i << "," << j;
-        }
+      for (const std::uint8_t h : hits) {
+        ASSERT_EQ(h, 1u) << "tiles must partition the range";
       }
     }
   }
@@ -419,16 +449,13 @@ TEST(FusedEpilogueDrivers, GemmFusedTilesReassembleExactly) {
 
 TEST(FusedEpilogueDrivers, SyrkFusedTilesCoverLowerTriangleExactly) {
   const BitMatrix g = random_matrix(67, 200, 97);
+  const CountMatrix want = naive_count_matrix(g, g);
   for (const GemmConfig& cfg : blocking_configs(KernelArch::kAuto)) {
     const PackedBitMatrix p = PackedBitMatrix::pack(g.view(), cfg);
     for (const auto& [r0, r1] :
          std::vector<std::pair<std::size_t, std::size_t>>{
              {0, 67}, {5, 37}, {30, 31}, {62, 67}}) {
       const std::size_t w = r1 - r0;
-      CountMatrix want(w, w);
-      syrk_count_packed(p, r0, r1, want.ref(), /*triangular_only=*/true);
-      CountMatrix got(w, w);
-      got.zero();
       std::vector<std::uint8_t> hits(w * w, 0);
       syrk_count_fused(p, r0, r1, [&](const CountTile& t) {
         for (std::size_t i = 0; i < t.rows; ++i) {
@@ -436,7 +463,7 @@ TEST(FusedEpilogueDrivers, SyrkFusedTilesCoverLowerTriangleExactly) {
           for (std::size_t j = 0; j < t.cols; ++j) {
             const std::size_t gj = t.col_begin + j;
             if (gj > gi) continue;  // above-diagonal entries unspecified
-            got(gi - r0, gj - r0) = t.row(i)[j];
+            ASSERT_EQ(t.row(i)[j], want(gi, gj)) << gi << "," << gj;
             ++hits[(gi - r0) * w + (gj - r0)];
           }
         }
@@ -446,7 +473,6 @@ TEST(FusedEpilogueDrivers, SyrkFusedTilesCoverLowerTriangleExactly) {
           ASSERT_EQ(hits[i * w + j], 1u)
               << "pair (" << i << "," << j << ") seen " << int{hits[i * w + j]}
               << " times";
-          ASSERT_EQ(got(i, j), want(i, j)) << i << "," << j;
         }
       }
     }

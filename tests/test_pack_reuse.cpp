@@ -1,7 +1,8 @@
 // Property sweep for the persistent packed operand (PackedBitMatrix): the
-// packed-sliver drivers must be bit-identical to the fresh-pack path across
-// kernel arch x blocking params x non-multiple-of-tile shapes x padding,
-// including ranged (sliver-boundary-crossing) windows.
+// packed-sliver drivers — with a caller-held pack or one packed per call —
+// must match the naive per-bit oracle across kernel arch x blocking params
+// x non-multiple-of-tile shapes x padding, including ranged
+// (sliver-boundary-crossing) windows.
 #include "core/gemm/packed_bit_matrix.hpp"
 
 #include <array>
@@ -19,6 +20,7 @@
 #include "core/gemm/macro.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
+#include "core/parallel.hpp"
 #include "omega/sweep_scan.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
@@ -65,16 +67,14 @@ bool same_bits(double a, double b) {
 
 class PackReuse : public ::testing::TestWithParam<KernelArch> {};
 
-TEST_P(PackReuse, PackedGemmMatchesFreshAndNaive) {
+TEST_P(PackReuse, CallerAndInternalPackMatchNaive) {
   for (const auto& [n, k] : kShapes) {
     const BitMatrix a = random_matrix(n, k, n * 57 + k);
     const BitMatrix b = random_matrix((n * 2) / 3 + 1, k, n * 91 + k);
     const CountMatrix expected = naive_count_matrix(a, b);
     for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-      GemmConfig fresh_cfg = cfg;
-      fresh_cfg.pack_once = false;
-      CountMatrix fresh(n, b.snps());
-      gemm_count(a.view(), b.view(), fresh.ref(), fresh_cfg);
+      CountMatrix internal(n, b.snps());
+      gemm_count(a.view(), b.view(), internal.ref(), cfg);
 
       const PackedBitMatrix pa =
           PackedBitMatrix::pack(a.view(), cfg, PackSides::kA);
@@ -87,7 +87,7 @@ TEST_P(PackReuse, PackedGemmMatchesFreshAndNaive) {
         for (std::size_t j = 0; j < b.snps(); ++j) {
           ASSERT_EQ(packed(i, j), expected(i, j))
               << "n=" << n << " k=" << k << " at (" << i << "," << j << ")";
-          ASSERT_EQ(fresh(i, j), expected(i, j));
+          ASSERT_EQ(internal(i, j), expected(i, j));
         }
       }
     }
@@ -154,23 +154,18 @@ TEST_P(PackReuse, RangedPackedSyrkMatchesWindow) {
   }
 }
 
-TEST_P(PackReuse, ParallelGemmMatchesSerialAcrossPackModes) {
+TEST_P(PackReuse, ParallelGemmMatchesNaive) {
   const std::size_t n = 61, k = 323;
   const BitMatrix a = random_matrix(n, k, 31);
   const BitMatrix b = random_matrix(45, k, 37);
   const CountMatrix expected = naive_count_matrix(a, b);
-  for (const GemmConfig& base : blocking_configs(GetParam())) {
-    for (const bool pack_once : {true, false}) {
-      GemmConfig cfg = base;
-      cfg.pack_once = pack_once;
-      for (const unsigned threads : {1u, 3u}) {
-        CountMatrix c(n, b.snps());
-        gemm_count_parallel(a.view(), b.view(), c.ref(), cfg, threads);
-        for (std::size_t i = 0; i < n; ++i) {
-          for (std::size_t j = 0; j < b.snps(); ++j) {
-            ASSERT_EQ(c(i, j), expected(i, j))
-                << "threads=" << threads << " pack_once=" << pack_once;
-          }
+  for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+    for (const unsigned threads : {1u, 3u}) {
+      CountMatrix c(n, b.snps());
+      gemm_count_parallel(a.view(), b.view(), c.ref(), cfg, threads);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < b.snps(); ++j) {
+          ASSERT_EQ(c(i, j), expected(i, j)) << "threads=" << threads;
         }
       }
     }
@@ -187,85 +182,107 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// ---- driver-level equivalence: pack-once vs fresh must be bit-identical --
+// ---- driver-level: caller-held and per-call packs match the oracle -----
 
-std::vector<double> collect_scan(const BitMatrix& g, const LdOptions& opts) {
-  std::vector<double> out;
+/// r² of every canonical pair (j <= i) a scan emits, keyed by global index.
+using PairValues = std::vector<std::pair<std::pair<std::size_t, std::size_t>,
+                                         double>>;
+
+PairValues collect_scan(const BitMatrix& g, const LdOptions& opts) {
+  PairValues out;
   ld_scan(g, [&](const LdTile& tile) {
     for (std::size_t i = 0; i < tile.rows; ++i) {
       const std::size_t gi = tile.row_begin + i;
       for (std::size_t j = 0; j < tile.cols; ++j) {
-        if (tile.col_begin + j > gi) continue;
-        out.push_back(tile.at(i, j));
+        const std::size_t gj = tile.col_begin + j;
+        if (gj > gi) continue;
+        out.push_back({{gi, gj}, tile.at(i, j)});
       }
     }
   }, opts);
   return out;
 }
 
-std::vector<double> collect_band(const BitMatrix& g, std::size_t w,
-                                 const BandOptions& opts) {
-  std::vector<double> out;
+PairValues collect_band(const BitMatrix& g, std::size_t w,
+                        const BandOptions& opts) {
+  PairValues out;
   ld_band_scan(g, w, [&](const LdTile& tile) {
     for (std::size_t i = 0; i < tile.rows; ++i) {
       const std::size_t gi = tile.row_begin + i;
       for (std::size_t j = 0; j < tile.cols; ++j) {
         const std::size_t gj = tile.col_begin + j;
         if (gj > gi || gi - gj > w) continue;
-        out.push_back(tile.at(i, j));
+        out.push_back({{gi, gj}, tile.at(i, j)});
       }
     }
   }, opts);
   return out;
 }
 
-TEST(PackReuseDrivers, LdScanBitIdenticalToFreshPath) {
+void expect_pairs_match_naive(const PairValues& got, const BitMatrix& g,
+                              const CountMatrix& counts) {
+  for (const auto& [key, v] : got) {
+    const auto [i, j] = key;
+    const double want = ld_r_squared(g.derived_count(i), g.derived_count(j),
+                                     counts(i, j), g.samples());
+    if (std::isnan(want)) {
+      ASSERT_TRUE(std::isnan(v)) << i << "," << j;
+    } else {
+      ASSERT_NEAR(v, want, 1e-12) << i << "," << j;
+    }
+  }
+}
+
+TEST(PackReuseDrivers, LdScanCallerAndInternalPackMatchNaive) {
   const BitMatrix g = random_matrix(93, 323, 41);
-  LdOptions fresh;
-  fresh.slab_rows = 17;
-  fresh.gemm.pack_once = false;
-  LdOptions packed = fresh;
-  packed.gemm.pack_once = true;
-  const std::vector<double> a = collect_scan(g, fresh);
-  const std::vector<double> b = collect_scan(g, packed);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(same_bits(a[i], b[i])) << "pair " << i;
-  }
+  const CountMatrix counts = naive_count_matrix(g, g);
+  LdOptions internal;
+  internal.slab_rows = 17;
+  const PackedBitMatrix p = PackedBitMatrix::pack(g.view(), internal.gemm);
+  LdOptions caller = internal;
+  caller.packed = &p;
+  const PairValues a = collect_scan(g, internal);
+  const PairValues b = collect_scan(g, caller);
+  ASSERT_EQ(a.size(), ld_pair_count(g.snps()));
+  ASSERT_EQ(b.size(), a.size());
+  expect_pairs_match_naive(a, g, counts);
+  expect_pairs_match_naive(b, g, counts);
 }
 
-TEST(PackReuseDrivers, BandScanBitIdenticalToFreshPath) {
+TEST(PackReuseDrivers, BandScanCallerAndInternalPackMatchNaive) {
   const BitMatrix g = random_matrix(90, 129, 43);
-  BandOptions fresh;
-  fresh.slab_rows = 13;
-  fresh.gemm.pack_once = false;
-  BandOptions packed = fresh;
-  packed.gemm.pack_once = true;
-  const std::vector<double> a = collect_band(g, 11, fresh);
-  const std::vector<double> b = collect_band(g, 11, packed);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(same_bits(a[i], b[i])) << "pair " << i;
-  }
+  const CountMatrix counts = naive_count_matrix(g, g);
+  BandOptions internal;
+  internal.slab_rows = 13;
+  const PackedBitMatrix p = PackedBitMatrix::pack(g.view(), internal.gemm);
+  BandOptions caller = internal;
+  caller.packed = &p;
+  const PairValues a = collect_band(g, 11, internal);
+  const PairValues b = collect_band(g, 11, caller);
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(b.size(), a.size());
+  expect_pairs_match_naive(a, g, counts);
+  expect_pairs_match_naive(b, g, counts);
 }
 
-TEST(PackReuseDrivers, OmegaScanBitIdenticalToFreshPath) {
+TEST(PackReuseDrivers, OmegaScanCallerPackBitIdenticalToInternalPack) {
   const BitMatrix g = random_matrix(160, 100, 47);
   std::vector<double> positions(g.snps());
   for (std::size_t s = 0; s < g.snps(); ++s) {
     positions[s] =
         (static_cast<double>(s) + 0.5) / static_cast<double>(g.snps());
   }
-  SweepScanParams fresh;
-  fresh.grid_points = 12;
-  fresh.window_snps = 14;
-  fresh.window_candidates = {7, 25};
-  fresh.gemm.pack_once = false;
-  SweepScanParams packed = fresh;
-  packed.gemm.pack_once = true;
+  SweepScanParams internal;
+  internal.grid_points = 12;
+  internal.window_snps = 14;
+  internal.window_candidates = {7, 25};
+  const PackedBitMatrix p = PackedBitMatrix::pack(g.view(), internal.gemm);
+  SweepScanParams caller = internal;
+  caller.packed = &p;
 
-  const std::vector<OmegaPoint> a = omega_scan(g, positions, fresh);
-  const std::vector<OmegaPoint> b = omega_scan(g, positions, packed);
+  const std::vector<OmegaPoint> a = omega_scan(g, positions, internal);
+  const std::vector<OmegaPoint> b = omega_scan(g, positions, caller);
+  ASSERT_FALSE(a.empty());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_TRUE(same_bits(a[i].omega, b[i].omega)) << "point " << i;
@@ -301,6 +318,39 @@ TEST(PackReuseDrivers, PackRequiresAPackingPlan) {
   GemmConfig cfg;
   cfg.packing = false;
   EXPECT_THROW((void)PackedBitMatrix::pack(g.view(), cfg), ContractViolation);
+}
+
+// The LD, band and omega drivers always run on a pack: the unpacked
+// ablation is count-level only, and an LD-level call asking for it fails
+// the PackedBitMatrix contract instead of silently taking another path.
+TEST(PackReuseDrivers, LdDriversRejectNonPackingPlan) {
+  const BitMatrix g = random_matrix(40, 200, 67);
+  const BitMatrix b = random_matrix(9, 200, 71);
+  LdOptions opts;
+  opts.gemm.packing = false;
+  const auto ignore = [](const LdTile&) {};
+  EXPECT_THROW((void)ld_matrix(g, opts), ContractViolation);
+  EXPECT_THROW((void)ld_matrix_parallel(g, opts, 2), ContractViolation);
+  EXPECT_THROW((void)ld_cross_matrix(g, b, opts), ContractViolation);
+  EXPECT_THROW((void)ld_cross_matrix_parallel(g, b, opts, 2),
+               ContractViolation);
+  EXPECT_THROW(ld_scan(g, ignore, opts), ContractViolation);
+  EXPECT_THROW(ld_scan_parallel(g, ignore, opts, 2), ContractViolation);
+  EXPECT_THROW(ld_cross_scan(g, b, ignore, opts), ContractViolation);
+  EXPECT_THROW(ld_stat_scan(g, ignore, opts), ContractViolation);
+  EXPECT_THROW(ld_cross_stat_scan(g, b, ignore, opts), ContractViolation);
+
+  BandOptions band;
+  band.gemm.packing = false;
+  EXPECT_THROW(ld_band_scan(g, 5, ignore, band), ContractViolation);
+
+  std::vector<double> positions(g.snps());
+  for (std::size_t s = 0; s < g.snps(); ++s) {
+    positions[s] = static_cast<double>(s) / static_cast<double>(g.snps());
+  }
+  SweepScanParams sweep;
+  sweep.gemm.packing = false;
+  EXPECT_THROW((void)omega_scan(g, positions, sweep), ContractViolation);
 }
 
 }  // namespace

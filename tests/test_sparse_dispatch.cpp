@@ -406,12 +406,8 @@ TEST_P(SparseDispatch, NestParallelMatchesSequentialHybrid) {
     LdOptions sparse = dense;
     sparse.gemm.sparse_threshold = kSparseThresholdAuto;
     expect_same_matrix(ld_matrix(g, sparse), want, "sequential hybrid");
-    for (const ParallelMode mode : {ParallelMode::kNest, ParallelMode::kCoarse}) {
-      LdOptions par = sparse;
-      par.parallel = mode;
-      expect_same_matrix(ld_matrix_parallel(g, par, 4), want,
-                         parallel_mode_name(mode).c_str());
-    }
+    expect_same_matrix(ld_matrix_parallel(g, sparse, 4), want,
+                       "nest-parallel hybrid");
   }
 }
 

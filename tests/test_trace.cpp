@@ -287,7 +287,6 @@ TEST_F(TraceFixture, FusedEpilogueRowCounterMatchesSink) {
   const BitMatrix b = random_matrix(n, samples, 6);
   LdOptions opts;
   opts.gemm = small_blocking(KernelArch::kScalar);
-  opts.fused = true;
 
   const trace::TraceSnapshot before = trace::snapshot();
   const LdMatrix out = ld_cross_matrix(a, b, opts);

@@ -299,8 +299,6 @@ PUBLIC_API = {
         ("ld_cross_scan", "expect"),
         ("ld_stat_scan", "expect"),
         ("ld_cross_stat_scan", "expect"),
-    ],
-    "src/core/parallel.cpp": [
         ("ld_scan_parallel", "expect"),
         ("ld_cross_scan_parallel", "expect"),
     ],
