@@ -59,8 +59,11 @@ int main(int argc, char** argv) try {
   opts.stat = parse_stat(args.str("stat"));
   const auto threads = static_cast<unsigned>(args.integer("threads"));
 
+  // The ranked list streams out of the GEMM through a top-k sink; no n x n
+  // matrix is built.
   ldla::Timer timer;
-  const ldla::LdMatrix ld = ldla::ld_matrix_parallel(genotypes, opts, threads);
+  const auto top = ldla::ld_top_pairs(
+      genotypes, static_cast<std::size_t>(args.integer("top")), opts, threads);
   const double seconds = timer.seconds();
 
   const std::uint64_t pairs = ldla::ld_pair_count(genotypes.snps());
@@ -69,8 +72,6 @@ int main(int argc, char** argv) try {
               ldla::ld_statistic_name(opts.stat).c_str(), seconds,
               static_cast<double>(pairs) / seconds / 1e6);
 
-  const auto top = ldla::top_pairs(
-      ld, static_cast<std::size_t>(args.integer("top")));
   std::printf("\nstrongest associations:\n");
   ldla::Table table({"rank", "snp_i", "snp_j",
                      ldla::ld_statistic_name(opts.stat)});

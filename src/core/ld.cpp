@@ -4,14 +4,17 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "core/detail/ld_stats_row.hpp"
+#include "core/detail/top_pairs.hpp"
 #include "core/gemm/macro.hpp"
 #include "core/gemm/nest.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/parallel.hpp"
 #include "util/contract.hpp"
 #include "util/metrics.hpp"
+#include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -236,6 +239,62 @@ void cross_scan_body(const BitMatrix& a, const BitMatrix& b,
   }
 }
 
+// Top-k pairs (DESIGN.md §4.9): each count tile is converted one canonical
+// row at a time and offered to a tile-local bounded selector, whose
+// survivors merge into one shared selector under a lock. Nothing of size
+// n² (or m·n) is held: the packs, the nest's per-member count scratch, one
+// row buffer and k pairs per tile in flight, and the k shared pairs.
+
+/// The selector every tile merges into; team members call merge()
+/// concurrently.
+class SharedTopPairs {
+ public:
+  explicit SharedTopPairs(std::size_t k) : top_(k) {}
+
+  void merge(const detail::TopPairSelector& tile) {
+    MutexLock lock(mu_);
+    top_.merge(tile);
+  }
+
+  /// Called once the nest has joined.
+  std::vector<RankedPair> take() {
+    MutexLock lock(mu_);
+    return std::move(top_).sorted();
+  }
+
+ private:
+  Mutex mu_;
+  detail::TopPairSelector top_ LDLA_GUARDED_BY(mu_);
+};
+
+/// Count tiles of `ta` rows against `tb` columns → statistics → top-k.
+/// With `strict_lower` (the symmetric drivers) only pairs j < i are read:
+/// the diagonal and the nest's above-diagonal slack never are.
+CountTileSink top_pairs_sink(LdStatistic stat, const detail::StatTables& ta,
+                             const detail::StatTables& tb, bool strict_lower,
+                             std::size_t k, SharedTopPairs& shared) {
+  return [=, &ta, &tb, &shared](const CountTile& t) {
+    LDLA_TRACE_SPAN(kEpilogue);
+    std::vector<double> row(t.cols);
+    detail::TopPairSelector tile(k);
+    std::uint64_t rows_converted = 0;
+    for (std::size_t i = 0; i < t.rows; ++i) {
+      const std::size_t gi = t.row_begin + i;
+      std::size_t cols = t.cols;
+      if (strict_lower) {
+        if (gi <= t.col_begin) continue;
+        cols = std::min(cols, gi - t.col_begin);
+      }
+      detail::stat_row_cross_shifted(stat, ta, gi, tb, t.col_begin, t.row(i),
+                                     cols, row.data());
+      tile.offer_row(gi, t.col_begin, row.data(), cols);
+      ++rows_converted;
+    }
+    LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
+    shared.merge(tile);
+  };
+}
+
 }  // namespace
 
 LdMatrix ld_matrix(const BitMatrix& g, const LdOptions& opts) {
@@ -303,6 +362,53 @@ void ld_cross_scan_parallel(const BitMatrix& a, const BitMatrix& b,
                             const LdTileVisitor& visit, const LdOptions& opts,
                             unsigned threads) {
   cross_scan_body(a, b, visit, opts, resolve_threads(threads));
+}
+
+std::vector<RankedPair> ld_top_pairs(const BitMatrix& g, std::size_t k,
+                                     const LdOptions& opts,
+                                     unsigned threads) {
+  const std::size_t n = g.snps();
+  if (n < 2 || k == 0) return {};
+  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
+  threads = resolve_threads(threads);
+  std::optional<PackedBitMatrix> own;
+  const PackedBitMatrix& packed = resolve_packed(
+      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, threads);
+  const detail::StatTables tables = detail::make_stat_tables(g);
+  SharedTopPairs top(k);
+  syrk_count_parallel_nest(
+      packed, 0, n,
+      top_pairs_sink(opts.stat, tables, tables, /*strict_lower=*/true, k,
+                     top),
+      threads);
+  return top.take();
+}
+
+std::vector<RankedPair> ld_cross_top_pairs(const BitMatrix& a,
+                                           const BitMatrix& b, std::size_t k,
+                                           const LdOptions& opts,
+                                           unsigned threads) {
+  LDLA_EXPECT(a.samples() == b.samples(),
+              "cross-matrix LD needs matching sample sets");
+  const std::size_t m = a.snps();
+  const std::size_t n = b.snps();
+  if (m == 0 || n == 0 || k == 0) return {};
+  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
+  threads = resolve_threads(threads);
+  std::optional<PackedBitMatrix> own_a;
+  std::optional<PackedBitMatrix> own_b;
+  const PackedBitMatrix& pa = resolve_packed(
+      a.view(), opts.gemm, opts.packed, PackSides::kA, own_a, threads);
+  const PackedBitMatrix& pb = resolve_packed(
+      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, threads);
+  const detail::StatTables ta = detail::make_stat_tables(a);
+  const detail::StatTables tb = detail::make_stat_tables(b);
+  SharedTopPairs top(k);
+  gemm_count_parallel_nest(
+      pa, 0, m, pb, 0, n,
+      top_pairs_sink(opts.stat, ta, tb, /*strict_lower=*/false, k, top),
+      threads);
+  return top.take();
 }
 
 void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,

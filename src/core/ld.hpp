@@ -64,6 +64,24 @@ struct LdOptions {
   const PackedBitMatrix* packed_b = nullptr;
 };
 
+/// One ranked SNP pair of a top-k report: row SNP `i`, column SNP `j` and
+/// the statistic's value for the pair.
+struct RankedPair {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  double value = 0.0;
+};
+
+/// The ranking order of every top-k report: value descending, then i
+/// ascending, then j ascending. It is total on distinct (i, j), so a top-k
+/// list is fully determined by its input, whatever order pairs arrive in.
+[[nodiscard]] inline bool ranks_before(const RankedPair& a,
+                                       const RankedPair& b) {
+  if (a.value != b.value) return a.value > b.value;
+  if (a.i != b.i) return a.i < b.i;
+  return a.j < b.j;
+}
+
 /// Dense row-major matrix of doubles (LD values).
 class LdMatrix {
  public:

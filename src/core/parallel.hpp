@@ -10,7 +10,8 @@
 // tiles become statistics in the fused sink, and scan visitors fire
 // sequentially from the calling thread after each slab's nest has joined;
 // they need no locking. Results are bit-identical to the sequential
-// drivers for every thread count.
+// drivers for every thread count. The top-k drivers have no separate
+// sequential entry point; threads = 1 runs them as a team of one.
 //
 // `threads` sizes the team (0 = default_thread_count(): the LDLA_THREADS
 // environment variable, else hardware concurrency); tasks execute on the
@@ -18,6 +19,8 @@
 // capped by that pool's size and repeated calls pay no thread spawn/join
 // cost.
 #pragma once
+
+#include <vector>
 
 #include "core/ld.hpp"
 
@@ -43,5 +46,23 @@ void ld_scan_parallel(const BitMatrix& g, const LdTileVisitor& visit,
 void ld_cross_scan_parallel(const BitMatrix& a, const BitMatrix& b,
                             const LdTileVisitor& visit,
                             const LdOptions& opts = {}, unsigned threads = 0);
+
+/// The k best pairs (i, j), j < i, of one matrix in ranks_before order,
+/// streamed through a fused top-k sink on the in-nest team: count tiles
+/// become statistics row by row, feed tile-local bounded selectors, and
+/// those merge into one shared selector under a lock. NaN entries
+/// (monomorphic SNPs) are never ranked. Memory is O(k + threads·mc·nc),
+/// not O(n²), and the list equals top_pairs(ld_matrix(g, opts), k) for
+/// every thread count.
+std::vector<RankedPair> ld_top_pairs(const BitMatrix& g, std::size_t k,
+                                     const LdOptions& opts = {},
+                                     unsigned threads = 0);
+
+/// The k best (row of a, row of b) pairs in ranks_before order, streamed
+/// like ld_top_pairs; i indexes `a` and j indexes `b`.
+std::vector<RankedPair> ld_cross_top_pairs(const BitMatrix& a,
+                                           const BitMatrix& b, std::size_t k,
+                                           const LdOptions& opts = {},
+                                           unsigned threads = 0);
 
 }  // namespace ldla

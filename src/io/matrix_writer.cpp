@@ -1,10 +1,11 @@
 #include "io/matrix_writer.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <utility>
 
+#include "core/detail/top_pairs.hpp"
 #include "util/contract.hpp"
 #include "util/trace.hpp"
 
@@ -37,22 +38,11 @@ void write_matrix_csv_file(const std::string& path, const LdMatrix& m,
 
 std::vector<RankedPair> top_pairs(const LdMatrix& m, std::size_t count) {
   LDLA_EXPECT(m.rows() == m.cols(), "top_pairs expects a symmetric matrix");
-  std::vector<RankedPair> all;
+  detail::TopPairSelector top(count);
   for (std::size_t i = 1; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      const double v = m(i, j);
-      if (std::isfinite(v)) all.push_back({i, j, v});
-    }
+    top.offer_row(i, 0, m.data() + i * m.cols(), i);
   }
-  const std::size_t k = std::min(count, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k),
-                    all.end(), [](const RankedPair& a, const RankedPair& b) {
-                      if (a.value != b.value) return a.value > b.value;
-                      if (a.i != b.i) return a.i < b.i;
-                      return a.j < b.j;
-                    });
-  all.resize(k);
-  return all;
+  return std::move(top).sorted();
 }
 
 void write_top_pairs(std::ostream& out, const std::vector<RankedPair>& pairs,

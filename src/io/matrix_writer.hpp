@@ -16,14 +16,9 @@ void write_matrix_csv(std::ostream& out, const LdMatrix& m,
 void write_matrix_csv_file(const std::string& path, const LdMatrix& m,
                            char delimiter = ',', int precision = 6);
 
-struct RankedPair {
-  std::size_t i = 0;
-  std::size_t j = 0;
-  double value = 0.0;
-};
-
 /// The `count` highest finite off-diagonal values of a symmetric LD matrix
-/// (each unordered pair reported once, i > j), descending.
+/// (each unordered pair reported once, i > j) in ranks_before order. Holds
+/// O(count) pairs; ld_top_pairs gives the same list without the matrix.
 std::vector<RankedPair> top_pairs(const LdMatrix& m, std::size_t count);
 
 /// Human-readable report of ranked pairs.

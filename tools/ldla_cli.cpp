@@ -14,7 +14,6 @@
 //   ldla_cli info region.ms
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -139,9 +138,11 @@ int cmd_compute(int argc, const char* const* argv) {
 
   LdOptions opts;
   opts.stat = parse_stat(args.str("stat"));
+  const auto threads = static_cast<unsigned>(args.integer("threads"));
   Timer timer;
-  const LdMatrix ld = ld_matrix_parallel(
-      data.genotypes, opts, static_cast<unsigned>(args.integer("threads")));
+  const auto top = ld_top_pairs(
+      data.genotypes, static_cast<std::size_t>(args.integer("top")), opts,
+      threads);
   const double seconds = timer.seconds();
   const std::uint64_t pairs = ld_pair_count(data.genotypes.snps());
   std::printf("%llu %s values in %.3f s (%.2f Mpairs/s)\n",
@@ -149,12 +150,12 @@ int cmd_compute(int argc, const char* const* argv) {
               ld_statistic_name(opts.stat).c_str(), seconds,
               static_cast<double>(pairs) / seconds / 1e6);
 
+  // Only the CSV needs the n x n matrix; the ranked list never does.
   if (const std::string out = args.str("matrix-out"); !out.empty()) {
-    write_matrix_csv_file(out, ld);
+    write_matrix_csv_file(out, ld_matrix_parallel(data.genotypes, opts,
+                                                  threads));
     std::printf("matrix written to %s\n", out.c_str());
   }
-  const auto top =
-      top_pairs(ld, static_cast<std::size_t>(args.integer("top")));
   write_top_pairs(std::cout, top, ld_statistic_name(opts.stat));
   return 0;
 }
@@ -240,31 +241,16 @@ int cmd_cross(int argc, const char* const* argv) {
               a.genotypes.snps(), b.genotypes.snps(), a.genotypes.samples());
 
   Timer timer;
-  const LdMatrix ld = ld_cross_matrix_parallel(
-      a.genotypes, b.genotypes, {},
-      static_cast<unsigned>(args.integer("threads")));
+  const auto top = ld_cross_top_pairs(
+      a.genotypes, b.genotypes, static_cast<std::size_t>(args.integer("top")),
+      {}, static_cast<unsigned>(args.integer("threads")));
   std::printf("%zu cross-LD values in %.3f s\n\n",
               a.genotypes.snps() * b.genotypes.snps(), timer.seconds());
 
-  struct Hit {
-    std::size_t i, j;
-    double v;
-  };
-  std::vector<Hit> hits;
-  for (std::size_t i = 0; i < ld.rows(); ++i) {
-    for (std::size_t j = 0; j < ld.cols(); ++j) {
-      if (std::isfinite(ld(i, j))) hits.push_back({i, j, ld(i, j)});
-    }
-  }
-  const auto top = std::min<std::size_t>(
-      hits.size(), static_cast<std::size_t>(args.integer("top")));
-  std::partial_sort(hits.begin(), hits.begin() + static_cast<std::ptrdiff_t>(top),
-                    hits.end(),
-                    [](const Hit& x, const Hit& y) { return x.v > y.v; });
   Table table({"rank", "A snp", "B snp", "r^2"});
-  for (std::size_t r = 0; r < top; ++r) {
-    table.add_row({std::to_string(r + 1), std::to_string(hits[r].i),
-                   std::to_string(hits[r].j), fmt_fixed(hits[r].v, 4)});
+  for (std::size_t r = 0; r < top.size(); ++r) {
+    table.add_row({std::to_string(r + 1), std::to_string(top[r].i),
+                   std::to_string(top[r].j), fmt_fixed(top[r].value, 4)});
   }
   std::fputs(table.str().c_str(), stdout);
   return 0;

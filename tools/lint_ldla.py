@@ -301,6 +301,8 @@ PUBLIC_API = {
         ("ld_cross_stat_scan", "expect"),
         ("ld_scan_parallel", "expect"),
         ("ld_cross_scan_parallel", "expect"),
+        ("ld_top_pairs", "expect"),
+        ("ld_cross_top_pairs", "expect"),
     ],
     "src/core/band.cpp": [("ld_band_scan", "expect")],
     "src/core/ld_blocks.cpp": [("find_ld_blocks", "expect")],
