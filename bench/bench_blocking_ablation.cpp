@@ -1,5 +1,6 @@
 // Ablation of the GotoBLAS design choices (Section III / DESIGN.md §4):
-// what packing, cache blocking and the kc choice are each worth.
+// what cache blocking, the kc/mc choice and the register tile are each
+// worth.
 #include "bench_common.hpp"
 
 using namespace ldla;
@@ -29,7 +30,7 @@ AblationPoint run(const BitMatrix& g, const GemmConfig& cfg) {
 
 int main(int argc, char** argv) {
   maybe_start_trace(argc, argv, "blocking_ablation");
-  print_header("Blocking/packing ablation",
+  print_header("Blocking ablation",
                "Sec. III: the layered GotoBLAS structure is what buys the "
                "84-90% of peak");
 
@@ -50,15 +51,6 @@ int main(int argc, char** argv) {
   table.add_row({"full (pack + block, auto kc/mc/nc)",
                  fmt_fixed(full.rate / 1e9, 2), "1.00x"});
 
-  {
-    GemmConfig cfg = base;
-    cfg.packing = false;
-    const AblationPoint r = run(g, cfg);
-    json.add("no-packing", kernel_arch_name(cfg.arch), n, k, r.seconds,
-             r.rate);
-    table.add_row({"no packing (strided operands)", fmt_fixed(r.rate / 1e9, 2),
-                   fmt_fixed(r.rate / full.rate, 2) + "x"});
-  }
   {
     GemmConfig cfg = base;
     cfg.blocking = false;
@@ -106,8 +98,8 @@ int main(int argc, char** argv) {
   std::fputs(table.str().c_str(), stdout);
   std::printf(
       "\nexpected shape: the full configuration is at or near the top; very\n"
-      "small kc/mc hurt (packing overhead dominates), and disabling packing\n"
-      "or blocking costs performance on problems that exceed the caches.\n");
+      "small kc/mc hurt (packing overhead dominates), and disabling\n"
+      "blocking costs performance on problems that exceed the caches.\n");
   const bool json_ok = json.flush();
   const bool trace_ok = finish_trace();
   return (json_ok && trace_ok) ? 0 : 1;

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     const BitMatrix g = simulate_maf_spectrum(p);
 
     // Report how the pack-time classifier actually sees this panel.
-    const GemmPlan plan = gemm_plan_for(g.view());
+    const GemmPlan plan = resolve_plan({}, g.view().n_words);
     const SparseColumns sc =
         build_sparse_columns(g.view(), plan.sparse_threshold);
     const double sparse_pct =

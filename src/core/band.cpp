@@ -6,7 +6,6 @@
 
 #include "core/detail/ld_stats_row.hpp"
 #include "core/gemm/macro.hpp"
-#include "core/gemm/nest.hpp"
 #include "util/contract.hpp"
 #include "util/thread_pool.hpp"
 
@@ -47,7 +46,7 @@ void ld_band_scan(const BitMatrix& g, std::size_t bandwidth,
     const std::size_t col_begin = r0 > bandwidth ? r0 - bandwidth : 0;
     const std::size_t col_end = r0 + rows;
     const std::size_t cols = col_end - col_begin;
-    gemm_count_parallel_nest(
+    gemm_count_fused(
         packed, r0, r0 + rows, packed, col_begin, col_end,
         detail::stat_tile_sink(opts.stat, tables, tables,
                                /*lower_only=*/false, values.data(), r0,

@@ -74,7 +74,7 @@ GemmPlan resolve_plan(const GemmConfig& cfg, std::size_t k_words) {
                               ") with no registered kernel variant");
     }
   } else if (cfg.arch == KernelArch::kAuto && cfg.kc_words == 0 &&
-             cfg.mc == 0 && cfg.nc == 0 && cfg.blocking && cfg.packing) {
+             cfg.mc == 0 && cfg.nc == 0 && cfg.blocking) {
     // Only untouched configs take cached decisions: any explicit knob means
     // the caller (a bench ablation, the tuner itself) wants exactly what it
     // asked for.
@@ -95,7 +95,6 @@ GemmPlan resolve_plan(const GemmConfig& cfg, std::size_t k_words) {
   plan.mr = info->mr;
   plan.nr = info->nr;
   plan.ku = info->ku;
-  plan.packing = cfg.packing;
 
   const CacheInfo& cache = cpu_info().cache;
 

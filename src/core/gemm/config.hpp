@@ -48,12 +48,9 @@ struct GemmConfig {
   std::size_t mc = 0;
   std::size_t nc = 0;
 
-  /// Ablation switches (bench_blocking_ablation): disable the packed
-  /// micro-tile layout and/or cache blocking to quantify their value.
-  /// packing = false is a count-level ablation only (gemm_count,
-  /// syrk_count): the LD, band and omega drivers always run on a
-  /// PackedBitMatrix and reject a non-packing plan.
-  bool packing = true;
+  /// Ablation switch (bench_blocking_ablation): blocking = false runs one
+  /// unblocked pass (kc spans all of k, mc and nc are unbounded) to
+  /// quantify what cache blocking is worth.
   bool blocking = true;
 
   /// MAF-adaptive sparse columns (DESIGN.md §4.6). Columns (SNP rows) whose
@@ -81,7 +78,6 @@ struct GemmPlan {
   std::size_t kc_words = 256;
   std::size_t mc = 64;
   std::size_t nc = 4096;
-  bool packing = true;
   /// Resolved allele-count threshold for sparse columns (0 = disabled).
   std::size_t sparse_threshold = 0;
 };

@@ -3,11 +3,11 @@
 // One cache-resident count tile — rows [ic, ic_end) × cols [jc, jc_end) of
 // the (sliver-padded) iteration space — is zeroed, accumulated over every
 // kc panel, clamped to the caller's in-range window, and handed to the
-// CountTileSink. The sequential fused drivers (gemm_count_fused /
-// syrk_count_fused) call these with whole mc×nc cache tiles; the in-nest
-// parallel drivers (core/gemm/nest.hpp) call them with mc×(q·nr) chunks so
-// stolen work keeps the exact same per-element arithmetic — results are
-// bit-identical by construction, only the tile granularity differs.
+// CountTileSink. The count nest (core/gemm/nest.cpp) calls these with whole
+// mc×nc cache tiles for a team of one and with mc×(q·nr) chunks for a
+// larger team, so stolen work keeps the exact same per-element arithmetic
+// — results are bit-identical by construction, only the tile granularity
+// differs.
 //
 // Contract (callers are the drivers, which validate their public inputs):
 //  - ic is mr-aligned relative to the packed sliver grid, jc is nr-aligned;

@@ -39,49 +39,42 @@ using CountTileSink = std::function<void(const CountTile&)>;
 
 /// Full rectangular count GEMM. C must be at least a.n_snps x b.n_snps.
 /// Both operands must have the same word count (same sample universe).
-/// The operands are packed whole and the persistent-sliver macro-kernel
-/// runs; cfg.packing = false runs the unpacked ablation instead.
+/// The operands are packed whole and gemm_count_packed runs.
 void gemm_count(const BitMatrixView& a, const BitMatrixView& b,
                 CountMatrixRef c, const GemmConfig& cfg = {});
 
 /// Count GEMM over pre-packed operands: rows [a_begin, a_end) of `a`
 /// against rows [b_begin, b_end) of `b`, accumulating into C at local
 /// indices (i - a_begin, j - b_begin). Callers zero C for assignment
-/// semantics. The ranges may start/end anywhere — sliver-boundary
-/// crossings are handled like edge tiles — so windowed drivers (banded
-/// scans, ω windows) slice one persistent packed copy instead of
-/// re-packing per slab. `a` needs an A side, `b` a B side, and both must
-/// be packed for compatible plans (same kernel, register tile, kc, ku).
+/// semantics. A sink over gemm_count_fused (team of one) that adds each
+/// finished tile into C. The ranges may start/end anywhere, so windowed
+/// drivers slice one persistent packed copy instead of re-packing per
+/// slab. `a` needs an A side, `b` a B side, and both must be packed for
+/// compatible plans (same kernel, register tile, kc, ku).
 void gemm_count_packed(const PackedBitMatrix& a, std::size_t a_begin,
                        std::size_t a_end, const PackedBitMatrix& b,
                        std::size_t b_begin, std::size_t b_end,
                        CountMatrixRef c);
 
-/// Fused variant of gemm_count_packed: the k (panel) loop runs innermost
-/// per (ic, jc) cache tile — legal and cheap over persistently packed
-/// slivers — so every mc x nc tile of C is final exactly once, accumulated
-/// in a tile-local scratch buffer and handed to `sink` while still hot.
-/// No count matrix is ever materialized: peak intermediate storage is
-/// O(mc·nc). Tiles partition [a_begin, a_end) x [b_begin, b_end) on the
-/// cache-tile grid; each in-range element appears in exactly one tile.
+/// The rectangular count nest (DESIGN.md §4.4). The k (panel) loop runs
+/// innermost per tile — legal and cheap over persistently packed slivers —
+/// so every tile of C is final exactly once, accumulated in tile-local
+/// scratch and handed to `sink` while still hot. No count matrix is ever
+/// materialized. Tiles partition [a_begin, a_end) x [b_begin, b_end); each
+/// in-range element appears in exactly one tile.
+///
+/// threads = 0 means default_thread_count(). A team of one (or a problem
+/// that yields a single chunk) runs inline on the calling thread and
+/// delivers exactly the jc-major grid of mc x nc cache tiles. A larger
+/// team cuts each mc x nc tile into mc x (q·nr) chunks, drains them
+/// through per-member work-stealing deques on global_pool(), and calls
+/// `sink` concurrently: it must then be thread-safe, and the caller must
+/// not already be running inside a global_pool() task. Counts are
+/// bit-identical for every team size; only the tile granularity differs.
 void gemm_count_fused(const PackedBitMatrix& a, std::size_t a_begin,
                       std::size_t a_end, const PackedBitMatrix& b,
                       std::size_t b_begin, std::size_t b_end,
-                      const CountTileSink& sink);
-
-/// Statistics of the most recent plan resolution (for bench reporting).
-GemmPlan gemm_plan_for(const BitMatrixView& a, const GemmConfig& cfg = {});
-
-/// Threaded variant of gemm_count: the m dimension is split into `threads`
-/// row blocks executed on the process-wide global_pool() (execution
-/// parallelism is additionally capped by that pool's size). The operands
-/// are packed exactly once and every worker reads the shared immutable
-/// slivers; the unpacked ablation (cfg.packing = false) runs sequentially.
-/// threads = 0 means hardware concurrency. Results identical to
-/// gemm_count.
-void gemm_count_parallel(const BitMatrixView& a, const BitMatrixView& b,
-                         CountMatrixRef c, const GemmConfig& cfg = {},
-                         unsigned threads = 0);
+                      const CountTileSink& sink, unsigned threads = 1);
 
 /// Empirically pick blocking parameters: runs short trials of candidate
 /// (kc, mc) pairs on a problem-shaped sample and returns cfg with the

@@ -68,8 +68,7 @@ class PackedBitMatrix {
  public:
   PackedBitMatrix() = default;
 
-  /// Pack all rows of `m` for `plan`. The plan must have packing enabled
-  /// (the unpacked ablation has no packed representation by definition).
+  /// Pack all rows of `m` for `plan` (a fully resolved plan).
   /// `threads` > 1 packs each side as a parallel team on global_pool():
   /// every worker packs a disjoint sliver range of every k panel, joined by
   /// one barrier per side; the result is byte-identical to a sequential
@@ -265,8 +264,7 @@ void expect_packed_matches(const PackedBitMatrix& p, const BitMatrixView& m);
 /// Driver helper: pick the packed operand for a call site. A caller-
 /// supplied pack wins (shape-checked against `m`; the caller must have
 /// built it from the same data with the same GemmConfig). Otherwise `m` is
-/// packed into `own` (as a team of `threads`) and that pack is returned;
-/// a `cfg` without packing fails the PackedBitMatrix contract.
+/// packed into `own` (as a team of `threads`) and that pack is returned.
 const PackedBitMatrix& resolve_packed(const BitMatrixView& m,
                                       const GemmConfig& cfg,
                                       const PackedBitMatrix* supplied,

@@ -17,30 +17,30 @@ namespace ldla {
 /// are guaranteed valid (the upper triangle is unspecified) — consumers
 /// that read C(i, j) with i >= j only skip the mirror pass entirely.
 /// The operand is packed whole — once for both sides when mr == nr — and
-/// the packed driver runs; cfg.packing = false runs the unpacked ablation
-/// through the rectangular driver.
+/// syrk_count_packed runs.
 void syrk_count(const BitMatrixView& a, CountMatrixRef c,
                 const GemmConfig& cfg = {}, bool triangular_only = false);
 
 /// Symmetric count over rows [row_begin, row_end) of a pre-packed operand
 /// (needs both A and B sides). C is local: entry (i - row_begin,
-/// j - row_begin), overwritten. The range may start anywhere; windowed
-/// consumers (ω windows, haplotype blocks) slice one persistent packed
-/// copy instead of gathering and re-packing each window.
+/// j - row_begin), overwritten. A sink over syrk_count_fused (team of one)
+/// that writes each tile's canonical band, then mirrors unless
+/// triangular_only. The range may start anywhere; windowed consumers (ω
+/// windows, haplotype blocks) slice one persistent packed copy instead of
+/// gathering and re-packing each window.
 void syrk_count_packed(const PackedBitMatrix& a, std::size_t row_begin,
                        std::size_t row_end, CountMatrixRef c,
                        bool triangular_only = false);
 
-/// Fused variant of syrk_count_packed: the panel loop runs innermost per
-/// cache tile, and each finalized tile is handed to `sink` from tile-local
-/// scratch — no count matrix is materialized (peak intermediate storage is
-/// O(mc·nc)). Tiles cover the cache-tile grid over [row_begin, row_end)²
-/// restricted to tiles touching the lower triangle; within a delivered
-/// tile only entries with global col <= row are specified (register tiles
-/// strictly above the diagonal are skipped and read as zero). Each
-/// lower-triangle element appears in exactly one tile.
+/// The symmetric count nest: gemm_count_fused's nest over
+/// [row_begin, row_end)² restricted to chunks touching the lower triangle
+/// (same threads contract and tile order). Within a delivered tile only
+/// entries with global col <= row are specified (register tiles strictly
+/// above the diagonal are skipped), so consumers read the canonical band
+/// only. Each lower-triangle element appears in exactly one tile.
 void syrk_count_fused(const PackedBitMatrix& a, std::size_t row_begin,
-                      std::size_t row_end, const CountTileSink& sink);
+                      std::size_t row_end, const CountTileSink& sink,
+                      unsigned threads = 1);
 
 /// Mirror the lower triangle of the leading n x n block of `c` into the
 /// upper triangle, cache-blocked so the column-strided writes of the naive

@@ -9,7 +9,6 @@
 #include "core/detail/ld_stats_row.hpp"
 #include "core/detail/top_pairs.hpp"
 #include "core/gemm/macro.hpp"
-#include "core/gemm/nest.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/parallel.hpp"
 #include "util/contract.hpp"
@@ -122,7 +121,7 @@ namespace {
 // One body per driver shape, shared by the sequential entry point (a team
 // of one) and its *_parallel twin. Every body packs once — the caller's
 // pack or its own — and converts counts to statistics in the fused tile
-// sink; the nest drivers run the sequential fused driver for a team of one.
+// sink; the count nest runs a team of one inline.
 
 unsigned resolve_threads(unsigned threads) {
   return threads == 0 ? default_thread_count() : threads;
@@ -143,7 +142,7 @@ LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
   const PackedBitMatrix& packed = resolve_packed(
       g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, threads);
   const detail::StatTables tables = detail::make_stat_tables(g);
-  syrk_count_parallel_nest(
+  syrk_count_fused(
       packed, 0, n,
       detail::stat_tile_sink(opts.stat, tables, tables, /*lower_only=*/true,
                              out.data(), 0, 0, n),
@@ -171,7 +170,7 @@ LdMatrix cross_matrix_body(const BitMatrix& a, const BitMatrix& b,
       b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, threads);
   const detail::StatTables ta = detail::make_stat_tables(a);
   const detail::StatTables tb = detail::make_stat_tables(b);
-  gemm_count_parallel_nest(
+  gemm_count_fused(
       pa, 0, m, pb, 0, n,
       detail::stat_tile_sink(opts.stat, ta, tb, /*lower_only=*/false,
                              out.data(), 0, 0, n),
@@ -197,7 +196,7 @@ void scan_body(const BitMatrix& g, const LdTileVisitor& visit,
   for (std::size_t r0 = 0; r0 < n; r0 += slab) {
     const std::size_t rows = std::min(slab, n - r0);
     const std::size_t cols = r0 + rows;  // lower-trapezoid: j < slab end
-    gemm_count_parallel_nest(
+    gemm_count_fused(
         packed, r0, r0 + rows, packed, 0, cols,
         detail::stat_tile_sink(opts.stat, tables, tables,
                                /*lower_only=*/false, values.data(), r0, 0,
@@ -230,7 +229,7 @@ void cross_scan_body(const BitMatrix& a, const BitMatrix& b,
   AlignedBuffer<double> values(std::min(slab, m) * n);
   for (std::size_t r0 = 0; r0 < m; r0 += slab) {
     const std::size_t rows = std::min(slab, m - r0);
-    gemm_count_parallel_nest(
+    gemm_count_fused(
         pa, r0, r0 + rows, pb, 0, n,
         detail::stat_tile_sink(opts.stat, ta, tb, /*lower_only=*/false,
                                values.data(), r0, 0, n),
@@ -376,7 +375,7 @@ std::vector<RankedPair> ld_top_pairs(const BitMatrix& g, std::size_t k,
       g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, threads);
   const detail::StatTables tables = detail::make_stat_tables(g);
   SharedTopPairs top(k);
-  syrk_count_parallel_nest(
+  syrk_count_fused(
       packed, 0, n,
       top_pairs_sink(opts.stat, tables, tables, /*strict_lower=*/true, k,
                      top),
@@ -404,7 +403,7 @@ std::vector<RankedPair> ld_cross_top_pairs(const BitMatrix& a,
   const detail::StatTables ta = detail::make_stat_tables(a);
   const detail::StatTables tb = detail::make_stat_tables(b);
   SharedTopPairs top(k);
-  gemm_count_parallel_nest(
+  gemm_count_fused(
       pa, 0, m, pb, 0, n,
       top_pairs_sink(opts.stat, ta, tb, /*strict_lower=*/false, k, top),
       threads);

@@ -14,9 +14,8 @@
 // Every driver runs on a PackedBitMatrix (LdOptions::packed, or one packed
 // per call) and converts counts to statistics in the fused tile sink: each
 // finalized count tile becomes D/D'/r² while still hot in cache, so no
-// count matrix is ever materialized. A GemmConfig with packing = false is
-// therefore rejected (ContractViolation). Visitors fire sequentially from
-// the calling thread, also in the *_parallel drivers (core/parallel.hpp).
+// count matrix is ever materialized. Visitors fire sequentially from the
+// calling thread, also in the *_parallel drivers (core/parallel.hpp).
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,6 @@
 
 #include "core/detail/ld_stats_row.hpp"
 #include "core/gemm/macro.hpp"
-#include "core/gemm/nest.hpp"
 #include "core/gemm/syrk.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -17,15 +16,27 @@
 namespace ldla {
 namespace {
 
-/// Per-thread epilogue scratch for the nest-mode sinks: tiles arrive
+/// Per-thread epilogue scratch for the team-mode sinks: tiles arrive
 /// concurrently, each thread converts into its own buffer (grown once to
-/// the mc·nc bound, then reused for the whole stream).
+/// the clamped tile bound, then reused for the whole stream).
 AlignedBuffer<double>& tile_scratch(std::size_t n) {
   thread_local AlignedBuffer<double> buf;
   if (buf.size() < n) {
     buf = AlignedBuffer<double>(n);
   }
   return buf;
+}
+
+/// Largest shard of `store`, in rows. Tiles never exceed one shard on
+/// either axis, so the stat scratch is sized from min(mc, this) x
+/// min(nc, this): a legal store may record mc and nc up to 2^28 each,
+/// whose product is no allocation size.
+std::size_t max_shard_rows(const ShardStore& store) {
+  std::size_t rows = 0;
+  for (std::size_t i = 0; i < store.shards(); ++i) {
+    rows = std::max(rows, store.shard_rows(i));
+  }
+  return rows;
 }
 
 /// One shard-pair of the walk: row-side shard r, column-side shard c
@@ -250,7 +261,9 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
   const detail::StatTables tables = detail::make_stat_tables_from_counts(
       store.allele_counts(), store.samples());
   const GemmPlan& plan = store.plan();
-  const std::size_t scratch_n = plan.mc * plan.nc;
+  const std::size_t max_rows = max_shard_rows(store);
+  const std::size_t scratch_n =
+      std::min(plan.mc, max_rows) * std::min(plan.nc, max_rows);
   const bool sequential = opts.threads == 1;
   AlignedBuffer<double> seq_values(sequential ? scratch_n : 0);
   const auto scratch = [&]() -> double* {
@@ -326,11 +339,7 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
       const CountTileSink sink = [&](const CountTile& t) {
         emit_syrk(rbase, t);
       };
-      if (sequential) {
-        syrk_count_fused(pr, 0, rows, sink);
-      } else {
-        syrk_count_parallel_nest(pr, 0, rows, sink, opts.threads);
-      }
+      syrk_count_fused(pr, 0, rows, sink, opts.threads);
     } else {
       // jc < ic: the whole cross block lies strictly below the diagonal
       // (every column index < every row index), so all entries are
@@ -340,12 +349,7 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
       const CountTileSink sink = [&](const CountTile& t) {
         emit_gemm(rbase, cbase, t);
       };
-      if (sequential) {
-        gemm_count_fused(pr, 0, rows, pc, 0, cols, sink);
-      } else {
-        gemm_count_parallel_nest(pr, 0, rows, pc, 0, cols, sink,
-                                 opts.threads);
-      }
+      gemm_count_fused(pr, 0, rows, pc, 0, cols, sink, opts.threads);
     }
   });
 }
@@ -374,7 +378,8 @@ void ld_cross_stream(ShardStore& a, ShardStore& b,
       a.allele_counts(), a.samples());
   const detail::StatTables tb = detail::make_stat_tables_from_counts(
       b.allele_counts(), b.samples());
-  const std::size_t scratch_n = pa.mc * pa.nc;
+  const std::size_t scratch_n = std::min(pa.mc, max_shard_rows(a)) *
+                                std::min(pa.nc, max_shard_rows(b));
   const bool sequential = opts.threads == 1;
   AlignedBuffer<double> seq_values(sequential ? scratch_n : 0);
 
@@ -408,11 +413,7 @@ void ld_cross_stream(ShardStore& a, ShardStore& b,
       visit(LdTile{rbase + t.row_begin, cbase + t.col_begin, t.rows, t.cols,
                    values, t.cols});
     };
-    if (sequential) {
-      gemm_count_fused(pr, 0, rows, pc, 0, cols, sink);
-    } else {
-      gemm_count_parallel_nest(pr, 0, rows, pc, 0, cols, sink, opts.threads);
-    }
+    gemm_count_fused(pr, 0, rows, pc, 0, cols, sink, opts.threads);
   });
 }
 

@@ -44,8 +44,8 @@ struct StreamOptions {
   /// Prefetch the next pair's shards while the current pair computes.
   bool prefetch = true;
 
-  /// 1 = sequential fused compute with the overlapped-io double buffer;
-  /// > 1 (or 0 = default_thread_count()) = in-nest parallel drivers, with
+  /// 1 = team-of-one count nest with the overlapped-io double buffer;
+  /// > 1 (or 0 = default_thread_count()) = a count-nest team, with
   /// the visitor called CONCURRENTLY (tiles stay disjoint — a visitor
   /// writing disjoint output ranges needs no lock).
   unsigned threads = 1;

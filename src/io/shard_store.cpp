@@ -74,6 +74,27 @@ std::uint64_t expected_side_words(const GemmPlan& plan, std::uint64_t rows,
   return static_cast<std::uint64_t>(words);
 }
 
+/// The plan bounds a header must satisfy, shared by the writer and the
+/// parser: nullptr when `plan` is storable, else why not. Plans come from
+/// resolve_plan, whose blocked outputs are machine-bounded; a header
+/// claiming parameters outside these ranges is forged, and the bounds keep
+/// every later geometry product overflow-free.
+const char* plan_out_of_bounds(const GemmPlan& plan, std::uint64_t n_samples) {
+  constexpr std::uint64_t kMaxBlock = std::uint64_t{1} << 28;
+  if (plan.mr == 0 || plan.mr > 64 || plan.nr == 0 || plan.nr > 64 ||
+      plan.ku == 0 || plan.ku > 64) {
+    return "absurd register blocking";
+  }
+  if (plan.kc_words == 0 || plan.kc_words > kMaxBlock || plan.mc == 0 ||
+      plan.mc > kMaxBlock || plan.nc == 0 || plan.nc > kMaxBlock) {
+    return "absurd cache blocking";
+  }
+  if (plan.sparse_threshold > n_samples) {
+    return "sparse threshold exceeds the sample count";
+  }
+  return nullptr;
+}
+
 std::uint64_t slivers_for(std::uint64_t rows, std::uint64_t r) {
   return (rows + r - 1) / r;
 }
@@ -120,7 +141,6 @@ ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size) {
   out.plan.mc = h[8];
   out.plan.nc = h[9];
   out.plan.sparse_threshold = h[10];
-  out.plan.packing = true;  // the store persists the packed layout only
   const std::uint64_t shard_count = h[11];
   out.file_bytes = h[12];
   const std::uint64_t dir_off = h[13];
@@ -133,25 +153,11 @@ ShardIndex parse_shard_index(const std::uint8_t* data, std::size_t size) {
   if (out.n_words != words_for_bits(out.n_samples)) {
     bad("word count inconsistent with sample count");
   }
-  // Plans come from resolve_plan, whose outputs are machine-bounded; a
-  // header claiming parameters outside these ranges is forged, and the
-  // bounds keep every later geometry product overflow-free.
   if (arch == 0 || arch > static_cast<std::uint64_t>(KernelArch::kAvx512Wide)) {
     bad("unknown or unresolved kernel arch");
   }
   out.plan.arch = static_cast<KernelArch>(arch);
-  if (out.plan.mr == 0 || out.plan.mr > 64 || out.plan.nr == 0 ||
-      out.plan.nr > 64 || out.plan.ku == 0 || out.plan.ku > 64) {
-    bad("absurd register blocking");
-  }
-  if (out.plan.kc_words == 0 || out.plan.kc_words > (std::uint64_t{1} << 28) ||
-      out.plan.mc == 0 || out.plan.mc > (std::uint64_t{1} << 28) ||
-      out.plan.nc == 0 || out.plan.nc > (std::uint64_t{1} << 28)) {
-    bad("absurd cache blocking");
-  }
-  if (out.plan.sparse_threshold > out.n_samples) {
-    bad("sparse threshold exceeds the sample count");
-  }
+  if (const char* why = plan_out_of_bounds(out.plan, out.n_samples)) bad(why);
   if (out.file_bytes != size) bad("recorded file size does not match");
   if (shard_count == 0 || shard_count > out.n_snps) bad("absurd shard count");
 
@@ -335,9 +341,6 @@ void write_shard_store(const std::string& path, const BitMatrixView& m,
   LDLA_EXPECT(!m.empty() && m.n_samples != 0,
               "write_shard_store requires a non-empty matrix");
   LDLA_EXPECT(rows_per_shard != 0, "rows_per_shard must be positive");
-  LDLA_EXPECT(cfg.packing,
-              "the shard store persists the packed layout; packing must be "
-              "enabled in the config");
 
   ShardIndex idx;
   idx.n_snps = m.n_snps;
@@ -348,6 +351,13 @@ void write_shard_store(const std::string& path, const BitMatrixView& m,
   // one at the count; persist the clamp so the header bound stays checkable.
   idx.plan.sparse_threshold =
       std::min(idx.plan.sparse_threshold, m.n_samples);
+  // Refuse before any byte is written a plan the parser would reject (an
+  // unblocked config has unbounded mc/nc): the store would never reopen.
+  if (const char* why = plan_out_of_bounds(idx.plan, m.n_samples)) {
+    throw ContractViolation(
+        std::string("write_shard_store: the resolved plan cannot be stored (") +
+        why + "); ingest with cache blocking enabled");
+  }
   const std::size_t shard_count =
       (m.n_snps + rows_per_shard - 1) / rows_per_shard;
 
@@ -525,9 +535,9 @@ ShardStore ShardStore::open(const std::string& path,
           "= true} to re-pack each shard at materialization");
     }
     const GemmPlan& want = *opts.expect_plan;
-    LDLA_EXPECT(want.packing && want.mr != 0 && want.nr != 0 &&
-                    want.ku != 0 && want.kc_words != 0,
-                "repack-on-mismatch needs a fully resolved packing plan");
+    LDLA_EXPECT(want.mr != 0 && want.nr != 0 && want.ku != 0 &&
+                    want.kc_words != 0,
+                "repack-on-mismatch needs a fully resolved plan");
     if (find_kernel(want.arch, want.mr, want.nr, want.ku) == nullptr ||
         !kernel_available(want.arch)) {
       throw Error("shard store " + path + ": expected plan (" +

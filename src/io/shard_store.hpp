@@ -113,6 +113,8 @@ struct ShardOpenOptions {
 /// plan `cfg` resolves to, and write the store to `path`. Packing runs
 /// shard-at-a-time, so ingest memory is O(one shard), independent of the
 /// matrix size. `threads` > 1 team-packs each shard on global_pool().
+/// Throws ContractViolation, before writing anything, when the resolved
+/// plan is outside the bounds the reader accepts (cfg.blocking = false).
 void write_shard_store(const std::string& path, const BitMatrixView& m,
                        const GemmConfig& cfg, std::size_t rows_per_shard,
                        unsigned threads = 1);

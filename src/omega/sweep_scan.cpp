@@ -106,8 +106,9 @@ std::optional<OmegaPoint> scan_grid_point(const std::vector<double>& positions,
 
 // Shared body of omega_scan (threads = 1) and omega_scan_parallel: one
 // pack shared read-only by every worker, grid points split in `threads`
-// contiguous chunks on the process-wide pool, each window a sequential
-// fused SYRK. Windows are too small for an in-nest team to pay off.
+// contiguous chunks on the process-wide pool, each window a team-of-one
+// count nest run inline on its worker (so it never re-enters the pool).
+// Windows are too small for an in-nest team to pay off.
 std::vector<OmegaPoint> scan_body(const BitMatrix& g,
                                   const std::vector<double>& positions,
                                   const SweepScanParams& params,

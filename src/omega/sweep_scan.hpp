@@ -45,8 +45,9 @@ std::vector<OmegaPoint> omega_scan(const BitMatrix& g,
 
 /// Same scan with `threads` workers (0 = default_thread_count()). The grid
 /// points are split statically into `threads` contiguous ranges that share
-/// one pack; each worker evaluates its windows with the sequential fused
-/// SYRK (a window of a few hundred SNPs is too small for an in-nest team).
+/// one pack; each worker evaluates its windows with a team-of-one
+/// syrk_count_fused (a window of a few hundred SNPs is too small for an
+/// in-nest team).
 /// Results identical to omega_scan.
 std::vector<OmegaPoint> omega_scan_parallel(
     const BitMatrix& g, const std::vector<double>& positions,

@@ -10,6 +10,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
@@ -233,7 +234,7 @@ TEST_P(FusedEpilogue, StatScanCoversCanonicalPairsExactlyOnce) {
   const LdMatrix want =
       oracle_ld(g, g, naive_count_matrix(g, g), LdStatistic::kRSquared);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-    const GemmPlan plan = gemm_plan_for(g.view(), cfg);
+    const GemmPlan plan = resolve_plan(cfg, g.view().n_words);
     LdOptions opts;
     opts.gemm = cfg;
     std::set<std::pair<std::size_t, std::size_t>> seen;
@@ -259,7 +260,7 @@ TEST_P(FusedEpilogue, CrossStatScanCoversEveryPairExactlyOnce) {
   const LdMatrix want =
       oracle_ld(a, b, naive_count_matrix(a, b), LdStatistic::kRSquared);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
-    const GemmPlan plan = gemm_plan_for(a.view(), cfg);
+    const GemmPlan plan = resolve_plan(cfg, a.view().n_words);
     LdOptions opts;
     opts.gemm = cfg;
     std::set<std::pair<std::size_t, std::size_t>> seen;
@@ -416,6 +417,9 @@ TEST(FusedEpilogueOmega, OmegaScanMatchesNaiveAtUnalignedWindows) {
 
 // ---- driver-level: fused tile streams reassemble to the naive counts -----
 
+// A team of one and teams of 2..4 must all partition the range exactly.
+constexpr unsigned kThreads[] = {1, 2, 3, 4};
+
 TEST(FusedEpilogueDrivers, GemmFusedTilesReassembleExactly) {
   const BitMatrix a = random_matrix(70, 129, 83);
   const BitMatrix b = random_matrix(33, 129, 89);
@@ -429,19 +433,24 @@ TEST(FusedEpilogueDrivers, GemmFusedTilesReassembleExactly) {
     for (const auto& [a0, a1, b0, b1] :
          std::vector<std::array<std::size_t, 4>>{
              {0, 70, 0, 33}, {3, 11, 1, 30}, {17, 42, 29, 30}}) {
-      std::vector<std::uint8_t> hits((a1 - a0) * (b1 - b0), 0);
-      gemm_count_fused(pa, a0, a1, pb, b0, b1, [&](const CountTile& t) {
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          for (std::size_t j = 0; j < t.cols; ++j) {
-            const std::size_t gi = t.row_begin + i;
-            const std::size_t gj = t.col_begin + j;
-            ASSERT_EQ(t.row(i)[j], want(gi, gj)) << gi << "," << gj;
-            ++hits[(gi - a0) * (b1 - b0) + (gj - b0)];
+      for (const unsigned threads : kThreads) {
+        std::vector<std::uint8_t> hits((a1 - a0) * (b1 - b0), 0);
+        std::mutex mu;
+        gemm_count_fused(pa, a0, a1, pb, b0, b1, [&](const CountTile& t) {
+          const std::lock_guard<std::mutex> lock(mu);
+          for (std::size_t i = 0; i < t.rows; ++i) {
+            for (std::size_t j = 0; j < t.cols; ++j) {
+              const std::size_t gi = t.row_begin + i;
+              const std::size_t gj = t.col_begin + j;
+              ASSERT_EQ(t.row(i)[j], want(gi, gj)) << gi << "," << gj;
+              ++hits[(gi - a0) * (b1 - b0) + (gj - b0)];
+            }
           }
+        }, threads);
+        for (const std::uint8_t h : hits) {
+          ASSERT_EQ(h, 1u) << "tiles must partition the range, threads="
+                           << threads;
         }
-      });
-      for (const std::uint8_t h : hits) {
-        ASSERT_EQ(h, 1u) << "tiles must partition the range";
       }
     }
   }
@@ -456,23 +465,27 @@ TEST(FusedEpilogueDrivers, SyrkFusedTilesCoverLowerTriangleExactly) {
          std::vector<std::pair<std::size_t, std::size_t>>{
              {0, 67}, {5, 37}, {30, 31}, {62, 67}}) {
       const std::size_t w = r1 - r0;
-      std::vector<std::uint8_t> hits(w * w, 0);
-      syrk_count_fused(p, r0, r1, [&](const CountTile& t) {
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          const std::size_t gi = t.row_begin + i;
-          for (std::size_t j = 0; j < t.cols; ++j) {
-            const std::size_t gj = t.col_begin + j;
-            if (gj > gi) continue;  // above-diagonal entries unspecified
-            ASSERT_EQ(t.row(i)[j], want(gi, gj)) << gi << "," << gj;
-            ++hits[(gi - r0) * w + (gj - r0)];
+      for (const unsigned threads : kThreads) {
+        std::vector<std::uint8_t> hits(w * w, 0);
+        std::mutex mu;
+        syrk_count_fused(p, r0, r1, [&](const CountTile& t) {
+          const std::lock_guard<std::mutex> lock(mu);
+          for (std::size_t i = 0; i < t.rows; ++i) {
+            const std::size_t gi = t.row_begin + i;
+            for (std::size_t j = 0; j < t.cols; ++j) {
+              const std::size_t gj = t.col_begin + j;
+              if (gj > gi) continue;  // above-diagonal entries unspecified
+              ASSERT_EQ(t.row(i)[j], want(gi, gj)) << gi << "," << gj;
+              ++hits[(gi - r0) * w + (gj - r0)];
+            }
           }
-        }
-      });
-      for (std::size_t i = 0; i < w; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) {
-          ASSERT_EQ(hits[i * w + j], 1u)
-              << "pair (" << i << "," << j << ") seen " << int{hits[i * w + j]}
-              << " times";
+        }, threads);
+        for (std::size_t i = 0; i < w; ++i) {
+          for (std::size_t j = 0; j <= i; ++j) {
+            ASSERT_EQ(hits[i * w + j], 1u)
+                << "pair (" << i << "," << j << ") seen "
+                << int{hits[i * w + j]} << " times, threads=" << threads;
+          }
         }
       }
     }

@@ -42,7 +42,6 @@ TEST(GemmFuzz, RandomShapesMatchOracle) {
     cfg.kc_words = 1 + rng.next_below(64);
     cfg.mc = 1 + rng.next_below(48);
     cfg.nc = 1 + rng.next_below(48);
-    cfg.packing = rng.next_bool(0.9);
 
     CountMatrix c(m, n);
     gemm_count(a.view(), b.view(), c.ref(), cfg);

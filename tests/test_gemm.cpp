@@ -131,18 +131,6 @@ TEST(Gemm, ResultInvariantUnderBlockingParameters) {
   }
 }
 
-TEST(Gemm, PackingAblationMatches) {
-  const BitMatrix a = random_matrix(21, 500, 13);
-  const BitMatrix b = random_matrix(19, 500, 14);
-  const CountMatrix expected = naive_count_matrix(a, b);
-
-  GemmConfig cfg;
-  cfg.packing = false;
-  CountMatrix c(21, 19);
-  gemm_count(a.view(), b.view(), c.ref(), cfg);
-  expect_equal_counts(c, expected);
-}
-
 TEST(Gemm, BlockingAblationMatches) {
   const BitMatrix a = random_matrix(21, 500, 15);
   const BitMatrix b = random_matrix(19, 500, 16);
@@ -212,6 +200,23 @@ TEST(Gemm, EmptyOperandsAreNoops) {
   gemm_count(a.view(), empty.view(), c.ref());
 }
 
+// A count-nest team's tiles land in disjoint windows of C, so a sink that
+// writes them needs no lock; the reassembled matrix must equal gemm_count.
+void gemm_count_team(const BitMatrix& a, const BitMatrix& b, CountMatrix& c,
+                     unsigned threads) {
+  const PackedBitMatrix pa =
+      PackedBitMatrix::pack(a.view(), {}, PackSides::kA);
+  const PackedBitMatrix pb =
+      PackedBitMatrix::pack(b.view(), {}, PackSides::kB);
+  gemm_count_fused(pa, 0, a.snps(), pb, 0, b.snps(), [&](const CountTile& t) {
+    for (std::size_t i = 0; i < t.rows; ++i) {
+      for (std::size_t j = 0; j < t.cols; ++j) {
+        c(t.row_begin + i, t.col_begin + j) = t.row(i)[j];
+      }
+    }
+  }, threads);
+}
+
 TEST(GemmParallel, MatchesSequentialAcrossThreadCounts) {
   const BitMatrix a = random_matrix(45, 900, 31);
   const BitMatrix b = random_matrix(38, 900, 32);
@@ -219,19 +224,17 @@ TEST(GemmParallel, MatchesSequentialAcrossThreadCounts) {
   gemm_count(a.view(), b.view(), expected.ref());
   for (unsigned t : {1u, 2u, 3u, 8u}) {
     CountMatrix c(45, 38);
-    gemm_count_parallel(a.view(), b.view(), c.ref(), {}, t);
+    gemm_count_team(a, b, c, t);
     SCOPED_TRACE(t);
     expect_equal_counts(c, expected);
   }
 }
 
-TEST(GemmParallel, SingleRowAndEmptyAreSafe) {
+TEST(GemmParallel, SingleRowIsSafe) {
   const BitMatrix a = random_matrix(1, 64, 33);
   CountMatrix c(1, 1);
-  gemm_count_parallel(a.view(), a.view(), c.ref(), {}, 4);
+  gemm_count_team(a, a, c, 4);
   EXPECT_EQ(c(0, 0), static_cast<std::uint32_t>(a.derived_count(0)));
-  BitMatrix empty;
-  gemm_count_parallel(empty.view(), a.view(), c.ref(), {}, 4);
 }
 
 TEST(GemmTuner, ReturnsValidConfigThatComputesCorrectly) {

@@ -160,9 +160,20 @@ TEST_P(PackReuse, ParallelGemmMatchesNaive) {
   const BitMatrix b = random_matrix(45, k, 37);
   const CountMatrix expected = naive_count_matrix(a, b);
   for (const GemmConfig& cfg : blocking_configs(GetParam())) {
+    const PackedBitMatrix pa =
+        PackedBitMatrix::pack(a.view(), cfg, PackSides::kA);
+    const PackedBitMatrix pb =
+        PackedBitMatrix::pack(b.view(), cfg, PackSides::kB);
     for (const unsigned threads : {1u, 3u}) {
+      // Team tiles land in disjoint windows of C: the sink needs no lock.
       CountMatrix c(n, b.snps());
-      gemm_count_parallel(a.view(), b.view(), c.ref(), cfg, threads);
+      gemm_count_fused(pa, 0, n, pb, 0, b.snps(), [&](const CountTile& t) {
+        for (std::size_t i = 0; i < t.rows; ++i) {
+          for (std::size_t j = 0; j < t.cols; ++j) {
+            c(t.row_begin + i, t.col_begin + j) = t.row(i)[j];
+          }
+        }
+      }, threads);
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < b.snps(); ++j) {
           ASSERT_EQ(c(i, j), expected(i, j)) << "threads=" << threads;
@@ -311,46 +322,6 @@ TEST(PackReuseDrivers, CallerSuppliedPackAcceptedAndShapeChecked) {
   // A pack of a different matrix shape must be rejected up front.
   const BitMatrix other = random_matrix(41, 200, 59);
   EXPECT_THROW((void)ld_matrix(other, opts), ContractViolation);
-}
-
-TEST(PackReuseDrivers, PackRequiresAPackingPlan) {
-  const BitMatrix g = random_matrix(8, 64, 61);
-  GemmConfig cfg;
-  cfg.packing = false;
-  EXPECT_THROW((void)PackedBitMatrix::pack(g.view(), cfg), ContractViolation);
-}
-
-// The LD, band and omega drivers always run on a pack: the unpacked
-// ablation is count-level only, and an LD-level call asking for it fails
-// the PackedBitMatrix contract instead of silently taking another path.
-TEST(PackReuseDrivers, LdDriversRejectNonPackingPlan) {
-  const BitMatrix g = random_matrix(40, 200, 67);
-  const BitMatrix b = random_matrix(9, 200, 71);
-  LdOptions opts;
-  opts.gemm.packing = false;
-  const auto ignore = [](const LdTile&) {};
-  EXPECT_THROW((void)ld_matrix(g, opts), ContractViolation);
-  EXPECT_THROW((void)ld_matrix_parallel(g, opts, 2), ContractViolation);
-  EXPECT_THROW((void)ld_cross_matrix(g, b, opts), ContractViolation);
-  EXPECT_THROW((void)ld_cross_matrix_parallel(g, b, opts, 2),
-               ContractViolation);
-  EXPECT_THROW(ld_scan(g, ignore, opts), ContractViolation);
-  EXPECT_THROW(ld_scan_parallel(g, ignore, opts, 2), ContractViolation);
-  EXPECT_THROW(ld_cross_scan(g, b, ignore, opts), ContractViolation);
-  EXPECT_THROW(ld_stat_scan(g, ignore, opts), ContractViolation);
-  EXPECT_THROW(ld_cross_stat_scan(g, b, ignore, opts), ContractViolation);
-
-  BandOptions band;
-  band.gemm.packing = false;
-  EXPECT_THROW(ld_band_scan(g, 5, ignore, band), ContractViolation);
-
-  std::vector<double> positions(g.snps());
-  for (std::size_t s = 0; s < g.snps(); ++s) {
-    positions[s] = static_cast<double>(s) / static_cast<double>(g.snps());
-  }
-  SweepScanParams sweep;
-  sweep.gemm.packing = false;
-  EXPECT_THROW((void)omega_scan(g, positions, sweep), ContractViolation);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
-// In-nest parallel driver sweep: gemm_count_parallel_nest and
-// syrk_count_parallel_nest must be bit-identical to the sequential fused
-// drivers across kernel arch x blocking params x ragged shapes x team
-// sizes, with every in-range (gemm) / canonical (syrk) element delivered
-// exactly once. The team packing path must also be byte-identical to a
-// sequential pack.
-#include "core/gemm/nest.hpp"
+// Count-nest sweep: gemm_count_fused and syrk_count_fused must deliver
+// bit-identical counts for every team size across kernel arch x blocking
+// params x ragged shapes, with every in-range (gemm) / canonical (syrk)
+// element delivered exactly once. A team of one must deliver exactly the
+// analytic jc-major mc x nc cache-tile list. The team packing path must
+// also be byte-identical to a sequential pack.
+#include "core/gemm/macro.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <mutex>
@@ -39,10 +40,9 @@ BitMatrix random_matrix(std::size_t snps, std::size_t samples,
 const std::vector<std::pair<std::size_t, std::size_t>> kShapes = {
     {5, 100}, {33, 323}, {70, 129}, {128, 1000}};
 
-// Team sizes around the interesting boundaries: 1 (degrades to the
-// sequential driver), 2, a non-power-of-two, and more members than most
-// shapes have chunks.
-const std::vector<unsigned> kTeams = {1, 2, 7, 16};
+// Team sizes around the interesting boundaries: 1 (runs inline), 2, 3, 4,
+// a non-power-of-two, and more members than most shapes have chunks.
+const std::vector<unsigned> kTeams = {1, 2, 3, 4, 7, 16};
 
 std::vector<GemmConfig> blocking_configs(KernelArch arch) {
   std::vector<GemmConfig> cfgs(3);
@@ -105,6 +105,60 @@ void expect_same_capture(const ElementCapture& got, const ElementCapture& want,
   }
 }
 
+// In-range extent of one delivered tile.
+struct TileExtent {
+  std::size_t row_begin, col_begin, rows, cols;
+  bool operator==(const TileExtent&) const = default;
+};
+
+// The analytic tile list of a team of one: the jc-major grid of mc x nc
+// cache tiles over the sliver-snapped range, clamped to the range; with
+// `lower`, row blocks that lie wholly above the diagonal are skipped.
+std::vector<TileExtent> analytic_tiles(const GemmPlan& plan, std::size_t a0,
+                                       std::size_t a1, std::size_t b0,
+                                       std::size_t b1, bool lower) {
+  const std::size_t a_pad = (a1 + plan.mr - 1) / plan.mr * plan.mr;
+  const std::size_t b_pad = (b1 + plan.nr - 1) / plan.nr * plan.nr;
+  std::vector<TileExtent> out;
+  for (std::size_t jc = b0 / plan.nr * plan.nr; jc < b1; jc += plan.nc) {
+    const std::size_t jc_end = std::min(jc + plan.nc, b_pad);
+    for (std::size_t ic = a0 / plan.mr * plan.mr; ic < a1; ic += plan.mc) {
+      const std::size_t ic_end = std::min(ic + plan.mc, a_pad);
+      if (lower && ic_end <= jc) continue;
+      const std::size_t r0 = std::max(ic, a0);
+      const std::size_t c0 = std::max(jc, b0);
+      out.push_back({r0, c0, std::min(ic_end, a1) - r0,
+                     std::min(jc_end, b1) - c0});
+    }
+  }
+  return out;
+}
+
+// Records the tile stream of a team of one, in delivery order.
+CountTileSink record_tiles(std::vector<TileExtent>& tiles) {
+  return [&tiles](const CountTile& t) {
+    tiles.push_back({t.row_begin, t.col_begin, t.rows, t.cols});
+  };
+}
+
+void expect_analytic_gemm(const PackedBitMatrix& pa, std::size_t a0,
+                          std::size_t a1, const PackedBitMatrix& pb,
+                          std::size_t b0, std::size_t b1) {
+  std::vector<TileExtent> got;
+  gemm_count_fused(pa, a0, a1, pb, b0, b1, record_tiles(got), 1);
+  EXPECT_EQ(got, analytic_tiles(pa.plan(), a0, a1, b0, b1, false))
+      << "gemm tile list [" << a0 << "," << a1 << ") x [" << b0 << "," << b1
+      << ")";
+}
+
+void expect_analytic_syrk(const PackedBitMatrix& p, std::size_t r0,
+                          std::size_t r1) {
+  std::vector<TileExtent> got;
+  syrk_count_fused(p, r0, r1, record_tiles(got), 1);
+  EXPECT_EQ(got, analytic_tiles(p.plan(), r0, r1, r0, r1, true))
+      << "syrk tile list [" << r0 << "," << r1 << ")";
+}
+
 class ParallelNest : public ::testing::TestWithParam<KernelArch> {};
 
 TEST_P(ParallelNest, GemmBitIdenticalToSequentialFused) {
@@ -119,10 +173,11 @@ TEST_P(ParallelNest, GemmBitIdenticalToSequentialFused) {
       ElementCapture want(0, n, 0, b.snps(), /*lower=*/false);
       gemm_count_fused(pa, 0, n, pb, 0, b.snps(), want.sink());
       ASSERT_FALSE(want.duplicate);
+      expect_analytic_gemm(pa, 0, n, pb, 0, b.snps());
 
       for (const unsigned team : kTeams) {
         ElementCapture got(0, n, 0, b.snps(), /*lower=*/false);
-        gemm_count_parallel_nest(pa, 0, n, pb, 0, b.snps(), got.sink(), team);
+        gemm_count_fused(pa, 0, n, pb, 0, b.snps(), got.sink(), team);
         expect_same_capture(got, want, "gemm full");
       }
     }
@@ -143,9 +198,10 @@ TEST_P(ParallelNest, GemmSubRangesMatchSequentialFused) {
              {3, 58, 5, 77}, {7, 12, 41, 42}, {0, 61, 19, 83}}) {
       ElementCapture want(a0, a1, b0, b1, /*lower=*/false);
       gemm_count_fused(pa, a0, a1, pb, b0, b1, want.sink());
+      expect_analytic_gemm(pa, a0, a1, pb, b0, b1);
       for (const unsigned team : kTeams) {
         ElementCapture got(a0, a1, b0, b1, /*lower=*/false);
-        gemm_count_parallel_nest(pa, a0, a1, pb, b0, b1, got.sink(), team);
+        gemm_count_fused(pa, a0, a1, pb, b0, b1, got.sink(), team);
         expect_same_capture(got, want, "gemm subrange");
       }
     }
@@ -162,10 +218,11 @@ TEST_P(ParallelNest, SyrkBitIdenticalToSequentialFused) {
       ElementCapture want(0, n, 0, n, /*lower=*/true);
       syrk_count_fused(pg, 0, n, want.sink());
       ASSERT_FALSE(want.duplicate);
+      expect_analytic_syrk(pg, 0, n);
 
       for (const unsigned team : kTeams) {
         ElementCapture got(0, n, 0, n, /*lower=*/true);
-        syrk_count_parallel_nest(pg, 0, n, got.sink(), team);
+        syrk_count_fused(pg, 0, n, got.sink(), team);
         expect_same_capture(got, want, "syrk full");
       }
     }
@@ -181,9 +238,10 @@ TEST_P(ParallelNest, SyrkSubRangesMatchSequentialFused) {
              {3, 87}, {17, 33}, {0, 90}, {41, 42}}) {
       ElementCapture want(r0, r1, r0, r1, /*lower=*/true);
       syrk_count_fused(pg, r0, r1, want.sink());
+      expect_analytic_syrk(pg, r0, r1);
       for (const unsigned team : kTeams) {
         ElementCapture got(r0, r1, r0, r1, /*lower=*/true);
-        syrk_count_parallel_nest(pg, r0, r1, got.sink(), team);
+        syrk_count_fused(pg, r0, r1, got.sink(), team);
         expect_same_capture(got, want, "syrk subrange");
       }
     }
@@ -232,15 +290,18 @@ TEST(ParallelNestContracts, RejectsBadRangesAndMissingSink) {
   const BitMatrix g = random_matrix(10, 64, 41);
   const GemmPlan plan = resolve_plan({}, g.view().n_words);
   const PackedBitMatrix pg(g.view(), plan, PackSides::kBoth);
-  EXPECT_THROW(syrk_count_parallel_nest(pg, 0, 11, [](const CountTile&) {}),
-               ContractViolation);
-  EXPECT_THROW(syrk_count_parallel_nest(pg, 0, 10, nullptr),
-               ContractViolation);
-  EXPECT_THROW(
-      gemm_count_parallel_nest(pg, 0, 11, pg, 0, 10, [](const CountTile&) {}),
-      ContractViolation);
-  EXPECT_THROW(gemm_count_parallel_nest(pg, 0, 10, pg, 0, 10, nullptr),
-               ContractViolation);
+  for (const unsigned team : {1u, 4u}) {
+    EXPECT_THROW(
+        syrk_count_fused(pg, 0, 11, [](const CountTile&) {}, team),
+        ContractViolation);
+    EXPECT_THROW(syrk_count_fused(pg, 0, 10, nullptr, team),
+                 ContractViolation);
+    EXPECT_THROW(gemm_count_fused(pg, 0, 11, pg, 0, 10,
+                                  [](const CountTile&) {}, team),
+                 ContractViolation);
+    EXPECT_THROW(gemm_count_fused(pg, 0, 10, pg, 0, 10, nullptr, team),
+                 ContractViolation);
+  }
 }
 
 TEST(ParallelNestContracts, EmptyRangeIsANoop) {
@@ -248,10 +309,12 @@ TEST(ParallelNestContracts, EmptyRangeIsANoop) {
   const GemmPlan plan = resolve_plan({}, g.view().n_words);
   const PackedBitMatrix pg(g.view(), plan, PackSides::kBoth);
   bool called = false;
-  syrk_count_parallel_nest(pg, 4, 4, [&](const CountTile&) { called = true; },
-                           8);
-  gemm_count_parallel_nest(pg, 0, 0, pg, 0, 10,
-                           [&](const CountTile&) { called = true; }, 8);
+  for (const unsigned team : {1u, 8u}) {
+    syrk_count_fused(pg, 4, 4, [&](const CountTile&) { called = true; },
+                     team);
+    gemm_count_fused(pg, 0, 0, pg, 0, 10,
+                     [&](const CountTile&) { called = true; }, team);
+  }
   EXPECT_FALSE(called);
 }
 

@@ -196,6 +196,23 @@ TEST(ShardStore, OpenRejectsMissingAndForeignFiles) {
   EXPECT_THROW(ShardStore::open(bogus), ParseError);
 }
 
+// An unblocked config resolves to mc = nc = SIZE_MAX/2, outside the header
+// bounds the parser enforces; the writer must refuse it before creating the
+// file instead of writing a store that can never be reopened.
+TEST(ShardStore, WriterRejectsPlansTheParserWouldReject) {
+  const BitMatrix g = random_matrix(600, 512, 27);
+  const std::string path = temp_path("unblocked.ldshard");
+  std::remove(path.c_str());
+  GemmConfig cfg;
+  cfg.blocking = false;
+  EXPECT_THROW(write_shard_store(path, g.view(), cfg, 128), ContractViolation);
+  EXPECT_FALSE(std::ifstream(path).good()) << "no byte may be written";
+
+  cfg.blocking = true;
+  write_shard_store(path, g.view(), cfg, 128);
+  EXPECT_EQ(ShardStore::open(path).shards(), 5u);
+}
+
 TEST(ShardStore, GeometryGuardDetectsTunedPlanDrift) {
   const BitMatrix g = random_matrix(90, 400, 21, 0.08);
   GemmConfig cfg;

@@ -245,6 +245,45 @@ TEST(StreamBudget, CrossStreamHonorsBudgetAcrossTwoStores) {
   expect_identical(got, want, "cross budget");
 }
 
+// mc = nc = 2^20 is inside the store's header bounds, so such a store is
+// legal; the stat scratch must come from the clamped tile extent (at most
+// one shard per axis), not from mc·nc (8 TiB of doubles).
+TEST(StreamBudget, HugeLegalBlockingStreamsLikeStatScan) {
+  const BitMatrix a = random_matrix(70, 300, 47);
+  const BitMatrix b = random_matrix(33, 300, 53);
+  GemmConfig cfg;
+  cfg.mc = std::size_t{1} << 20;
+  cfg.nc = std::size_t{1} << 20;
+  const std::string pa = temp_path("huge_block_a.ldshard");
+  const std::string pb = temp_path("huge_block_b.ldshard");
+  write_shard_store(pa, a.view(), cfg, 25);
+  write_shard_store(pb, b.view(), cfg, 14);
+  ShardStore sa = ShardStore::open(pa);
+  ShardStore sb = ShardStore::open(pb);
+  ASSERT_EQ(sa.plan().mc, std::size_t{1} << 20);
+
+  LdOptions opts;
+  opts.gemm = cfg;
+  Assembly want(a.snps(), a.snps());
+  ld_stat_scan(a, [&](const LdTile& t) { want.add(t); }, opts);
+  Assembly want_cross(a.snps(), b.snps());
+  ld_cross_stat_scan(a, b, [&](const LdTile& t) { want_cross.add(t); }, opts);
+
+  for (const unsigned threads : {1u, 2u}) {
+    StreamOptions sopts;
+    sopts.threads = threads;
+    Assembly got(a.snps(), a.snps());
+    ld_matrix_stream(sa, [&](const LdTile& t) { got.add(t); }, sopts);
+    expect_identical(got, want, "huge blocking threads=" +
+                                    std::to_string(threads));
+    Assembly got_cross(a.snps(), b.snps());
+    ld_cross_stream(sa, sb, [&](const LdTile& t) { got_cross.add(t); },
+                    sopts);
+    expect_identical(got_cross, want_cross,
+                     "huge blocking cross threads=" + std::to_string(threads));
+  }
+}
+
 TEST(StreamContracts, RejectsNullVisitorAndMismatchedStores) {
   const BitMatrix g = random_matrix(20, 100, 9);
   GemmConfig cfg;

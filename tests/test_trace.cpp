@@ -3,9 +3,10 @@
 // The phase counters are specified as *exact*: for a resolved GemmPlan the
 // traced kernel/pack/tile counts must equal the analytic values implied by
 // the blocking (DESIGN.md "Observability"). The walkers below mirror the
-// documented loop structure of gemm_count_packed / gemm_count_fused and
-// PackedBitMatrix::pack_side; any drift between the drivers and their
-// instrumentation shows up here as an off-by-a-tile mismatch.
+// documented loop structure of the count nest (gemm_count_fused, and
+// gemm_count_packed, its accumulating sink) and PackedBitMatrix::pack_side;
+// any drift between the drivers and their instrumentation shows up here as
+// an off-by-a-tile mismatch.
 //
 // Counter deltas are read with trace::snapshot().since(before), which is
 // exact as long as no unrelated instrumented work runs concurrently — true
@@ -20,7 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "core/gemm/macro.hpp"
-#include "core/gemm/nest.hpp"
+#include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
 #include "core/ld_stream.hpp"
 #include "core/parallel.hpp"
@@ -62,40 +63,8 @@ struct Expected {
   std::uint64_t epilogue_rows = 0;  ///< sum of in-range tile rows (fused)
 };
 
-// Analytic mirror of gemm_count_packed's loop nest over [a_begin, a_end) x
-// [b_begin, b_end): jc (nc) -> k panel -> ic (mc), one micro-kernel call
-// per mr x nr register tile, one sliver view per panel side per block.
-Expected expect_two_pass(const PackedBitMatrix& p, std::size_t a_begin,
-                         std::size_t a_end, std::size_t b_begin,
-                         std::size_t b_end) {
-  const GemmPlan& plan = p.plan();
-  const std::size_t mr = plan.mr;
-  const std::size_t nr = plan.nr;
-  const std::size_t ic0 = a_begin / mr * mr;
-  const std::size_t jc0 = b_begin / nr * nr;
-  const std::size_t a_pad = (a_end + mr - 1) / mr * mr;
-  const std::size_t b_pad = (b_end + nr - 1) / nr * nr;
-  Expected e;
-  for (std::size_t jc = jc0; jc < b_end; jc += plan.nc) {
-    const std::size_t jc_end = std::min(jc + plan.nc, b_pad);
-    for (std::size_t panel = 0; panel < p.panels(); ++panel) {
-      const std::uint64_t kcp = p.panel_kc_padded(panel);
-      e.slivers_reused += (jc_end - jc) / nr;  // one b_panel view per (jc, p)
-      for (std::size_t ic = ic0; ic < a_end; ic += plan.mc) {
-        const std::size_t ic_end = std::min(ic + plan.mc, a_pad);
-        const std::uint64_t calls = static_cast<std::uint64_t>(
-            ((jc_end - jc) / nr) * ((ic_end - ic) / mr));
-        e.kernel_calls += calls;
-        e.kernel_words += calls * static_cast<std::uint64_t>(mr * nr) * kcp;
-        e.slivers_reused += (ic_end - ic) / mr;  // one a_panel view per block
-      }
-    }
-  }
-  return e;
-}
-
-// Analytic mirror of gemm_count_fused: jc (nc) -> ic (mc) tiles, with the
-// panel loop innermost; one CountTile per cache tile.
+// Analytic mirror of the team-of-one count nest: jc (nc) -> ic (mc) tiles,
+// with the panel loop innermost; one CountTile per cache tile.
 Expected expect_fused(const PackedBitMatrix& p, std::size_t a_begin,
                       std::size_t a_end, std::size_t b_begin,
                       std::size_t b_end) {
@@ -150,12 +119,12 @@ class TraceCounters
   }
 };
 
-TEST_P(TraceCounters, TwoPassMatchesAnalyticBlocking) {
+TEST_P(TraceCounters, PackedSinkMatchesAnalyticBlocking) {
   const auto [arch, shape] = GetParam();
   const BitMatrix a = random_matrix(shape.m, shape.samples, 7 + shape.m);
   const BitMatrix b = random_matrix(shape.n, shape.samples, 11 + shape.n);
   const GemmConfig cfg = small_blocking(arch);
-  const GemmPlan plan = gemm_plan_for(a.view(), cfg);
+  const GemmPlan plan = resolve_plan(cfg, a.view().n_words);
   const PackedBitMatrix pa(a.view(), plan, PackSides::kA);
   const PackedBitMatrix pb(b.view(), plan, PackSides::kB);
 
@@ -164,11 +133,12 @@ TEST_P(TraceCounters, TwoPassMatchesAnalyticBlocking) {
   gemm_count_packed(pa, 0, shape.m, pb, 0, shape.n, c.ref());
   const trace::TraceSnapshot d = trace::snapshot().since(before);
 
-  const Expected e = expect_two_pass(pa, 0, shape.m, 0, shape.n);
+  // gemm_count_packed is a sink over the same nest: same tiles, no epilogue.
+  const Expected e = expect_fused(pa, 0, shape.m, 0, shape.n);
   EXPECT_EQ(d.counters.kernel_calls, e.kernel_calls);
   EXPECT_EQ(d.counters.kernel_words, e.kernel_words);
   EXPECT_EQ(d.counters.slivers_reused, e.slivers_reused);
-  EXPECT_EQ(d.counters.tiles_emitted, 0u);
+  EXPECT_EQ(d.counters.tiles_emitted, e.tiles_emitted);
   EXPECT_EQ(d.counters.epilogue_rows, 0u);
   EXPECT_EQ(d.counters.slivers_packed, 0u);  // persistent pack: no repack
   EXPECT_EQ(d.counters.bytes_packed, 0u);
@@ -179,7 +149,7 @@ TEST_P(TraceCounters, FusedMatchesAnalyticBlocking) {
   const BitMatrix a = random_matrix(shape.m, shape.samples, 7 + shape.m);
   const BitMatrix b = random_matrix(shape.n, shape.samples, 11 + shape.n);
   const GemmConfig cfg = small_blocking(arch);
-  const GemmPlan plan = gemm_plan_for(a.view(), cfg);
+  const GemmPlan plan = resolve_plan(cfg, a.view().n_words);
   const PackedBitMatrix pa(a.view(), plan, PackSides::kA);
   const PackedBitMatrix pb(b.view(), plan, PackSides::kB);
 
@@ -206,7 +176,7 @@ TEST_P(TraceCounters, RaggedRangesMatchAnalyticBlocking) {
   if (shape.m < 8 || shape.n < 8) GTEST_SKIP() << "range too small";
   const BitMatrix g = random_matrix(shape.m + shape.n, shape.samples, 3);
   const GemmConfig cfg = small_blocking(arch);
-  const GemmPlan plan = gemm_plan_for(g.view(), cfg);
+  const GemmPlan plan = resolve_plan(cfg, g.view().n_words);
   const PackedBitMatrix p(g.view(), plan, PackSides::kBoth);
 
   // Off-sliver window: starts and ends cross register-tile boundaries.
@@ -217,7 +187,7 @@ TEST_P(TraceCounters, RaggedRangesMatchAnalyticBlocking) {
   const trace::TraceSnapshot t0 = trace::snapshot();
   gemm_count_packed(p, a_begin, a_end, p, b_begin, b_end, c.ref());
   const trace::TraceSnapshot d1 = trace::snapshot().since(t0);
-  const Expected e1 = expect_two_pass(p, a_begin, a_end, b_begin, b_end);
+  const Expected e1 = expect_fused(p, a_begin, a_end, b_begin, b_end);
   EXPECT_EQ(d1.counters.kernel_calls, e1.kernel_calls);
   EXPECT_EQ(d1.counters.kernel_words, e1.kernel_words);
   EXPECT_EQ(d1.counters.slivers_reused, e1.slivers_reused);
@@ -258,7 +228,7 @@ TEST_F(TraceFixture, PackCountersMatchSliverGeometry) {
   const std::size_t snps = 53, samples = 1100;
   const BitMatrix g = random_matrix(snps, samples, 17);
   const GemmConfig cfg = small_blocking(KernelArch::kScalar);
-  const GemmPlan plan = gemm_plan_for(g.view(), cfg);
+  const GemmPlan plan = resolve_plan(cfg, g.view().n_words);
 
   const trace::TraceSnapshot before = trace::snapshot();
   const PackedBitMatrix p(g.view(), plan, PackSides::kBoth);
@@ -294,7 +264,7 @@ TEST_F(TraceFixture, FusedEpilogueRowCounterMatchesSink) {
   ASSERT_EQ(out.rows(), m);
 
   // ld_cross_matrix converts every row of every fused tile exactly once.
-  const GemmPlan plan = gemm_plan_for(a.view(), opts.gemm);
+  const GemmPlan plan = resolve_plan(opts.gemm, a.view().n_words);
   const PackedBitMatrix p(a.view(), plan, PackSides::kBoth);
   const Expected e = expect_fused(p, 0, m, 0, n);
   EXPECT_EQ(d.counters.epilogue_rows, e.epilogue_rows);
@@ -304,7 +274,7 @@ TEST_F(TraceFixture, FusedEpilogueRowCounterMatchesSink) {
 TEST_F(TraceFixture, CountersAccumulateWithTimingDisabled) {
   const BitMatrix g = random_matrix(40, 500, 23);
   const GemmConfig cfg = small_blocking(KernelArch::kScalar);
-  const GemmPlan plan = gemm_plan_for(g.view(), cfg);
+  const GemmPlan plan = resolve_plan(cfg, g.view().n_words);
   const PackedBitMatrix p(g.view(), plan, PackSides::kBoth);
   CountMatrix c(40, 40);
 
@@ -473,11 +443,11 @@ TEST_F(TraceFixture, NestDriversExposeStealCounters) {
   const std::size_t n = 96;
   const BitMatrix g = random_matrix(n, 700, 51);
   const GemmConfig cfg = small_blocking(KernelArch::kScalar);
-  const GemmPlan plan = gemm_plan_for(g.view(), cfg);
+  const GemmPlan plan = resolve_plan(cfg, g.view().n_words);
   const PackedBitMatrix p(g.view(), plan, PackSides::kBoth);
 
   const trace::TraceSnapshot before = trace::snapshot();
-  syrk_count_parallel_nest(p, 0, n, [](const CountTile&) {}, 4);
+  syrk_count_fused(p, 0, n, [](const CountTile&) {}, 4);
   const trace::TraceSnapshot d = trace::snapshot().since(before);
 
   // One pool task per team member, every member accounted exactly once.

@@ -270,17 +270,14 @@ PUBLIC_API = {
     "src/core/gemm/macro.cpp": [
         ("gemm_count", "expect"),
         ("gemm_count_packed", "expect"),
-        ("gemm_count_fused", "expect"),
-        ("gemm_count_parallel", "expect"),
     ],
     "src/core/gemm/nest.cpp": [
-        ("gemm_count_parallel_nest", "expect"),
-        ("syrk_count_parallel_nest", "expect"),
+        ("gemm_count_fused", "expect"),
+        ("syrk_count_fused", "expect"),
     ],
     "src/core/gemm/syrk.cpp": [
         ("syrk_count", "expect"),
         ("syrk_count_packed", "expect"),
-        ("syrk_count_fused", "expect"),
     ],
     "src/core/gemm/packing.cpp": [("pack_panel", "expect")],
     "src/core/gemm/config.cpp": [("resolve_plan", "expect")],
