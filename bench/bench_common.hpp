@@ -430,7 +430,7 @@ inline LdScanTiming time_gemm_ld_scan(const BitMatrix& g, unsigned threads,
 
 /// Dump the metrics registry as metrics_<name>.prom and metrics_<name>.json
 /// into $LDLA_METRICS_DUMP_DIR when that variable is set (the bench-smoke
-/// CI job and scripts/validate_metrics.py --run set it). Returns false only
+/// CI job and scripts/validate_telemetry.py --run set it). Returns false only
 /// when a dump was requested and a write failed.
 inline bool maybe_dump_metrics(const char* name) {
   const char* dir = std::getenv("LDLA_METRICS_DUMP_DIR");

@@ -16,6 +16,7 @@
 #include "core/bit_matrix.hpp"
 #include "core/gemm/macro.hpp"
 #include "core/ld.hpp"
+#include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 namespace ldla::detail {
@@ -140,7 +141,7 @@ inline CountTileSink stat_tile_sink(LdStatistic stat, const StatTables& ta,
                              dst + (gi - row0) * ld + (t.col_begin - col0));
       ++rows_converted;
     }
-    LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
+    metrics::pipeline().epilogue_rows.add(rows_converted);
   };
 }
 

@@ -141,10 +141,10 @@ const KernelInfo& kernel_for_plan(const GemmPlan& plan) {
   }
   // The variant actually dispatched, for server dashboards; variant names
   // are static literals, so the info gauge stores the pointer directly.
-  LDLA_METRICS_ONLY(metrics::info("ldla_kernel_variant", "variant",
-                                  "micro-kernel variant dispatched by "
-                                  "kernel_for_plan")
-                        .set(k->name));
+  static metrics::Info& i_variant =
+      metrics::info("ldla_kernel_variant", "variant",
+                    "micro-kernel variant dispatched by kernel_for_plan");
+  i_variant.set(k->name);
   return *k;
 }
 

@@ -27,6 +27,7 @@
 #include "core/gemm/packed_bit_matrix.hpp"
 #include "core/gemm/sparse_kernel.hpp"
 #include "util/contract.hpp"
+#include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 namespace ldla::detail {
@@ -44,6 +45,16 @@ inline bool sparse_pair_ok(const PackedBitMatrix& a, const PackedBitMatrix& b,
   if (a_sp) return b.has_sample_major();
   if (b_sp) return a.has_sample_major();
   return false;
+}
+
+/// Publish one tile body's list-kernel counts to the registry.
+inline void count_sparse(const SparseTileCounters& tc,
+                         std::uint64_t fallback_tiles) {
+  const metrics::PipelineCounters& c = metrics::pipeline();
+  c.sparse_ll_tiles.add(tc.ll_tiles);
+  c.sparse_ld_tiles.add(tc.ld_tiles);
+  c.sparse_intersections.add(tc.intersections);
+  c.sparse_dense_fallback_tiles.add(fallback_tiles);
 }
 
 inline void fused_gemm_tile(const PackedBitMatrix& a, const PackedBitMatrix& b,
@@ -93,7 +104,8 @@ inline void fused_gemm_tile(const PackedBitMatrix& a, const PackedBitMatrix& b,
         }
       }
     }
-    LDLA_TRACE_ADD_KERNEL(tile_calls, tile_words);
+    metrics::pipeline().kernel_calls.add(tile_calls);
+    metrics::pipeline().kernel_words.add(tile_words);
     if (hybrid) {
       SparseTileCounters tc;
       std::uint64_t fallback_tiles = 0;
@@ -129,8 +141,7 @@ inline void fused_gemm_tile(const PackedBitMatrix& a, const PackedBitMatrix& b,
                                &scratch[ir * scratch_ld + jr], scratch_ld, tc);
         }
       }
-      LDLA_TRACE_ADD_SPARSE(tc.ll_tiles, tc.ld_tiles, tc.intersections,
-                            fallback_tiles);
+      count_sparse(tc, fallback_tiles);
     }
   }
 
@@ -138,7 +149,7 @@ inline void fused_gemm_tile(const PackedBitMatrix& a, const PackedBitMatrix& b,
   const std::size_t i_hi = std::min(ic_end, a_end);
   const std::size_t j_lo = std::max(jc, b_begin);
   const std::size_t j_hi = std::min(jc_end, b_end);
-  LDLA_TRACE_ADD_TILE();
+  metrics::pipeline().count_tiles.inc();
   sink(CountTile{i_lo, j_lo, i_hi - i_lo, j_hi - j_lo,
                  &scratch[(i_lo - ic) * scratch_ld + (j_lo - jc)],
                  scratch_ld});
@@ -190,7 +201,8 @@ inline void fused_syrk_tile(const PackedBitMatrix& a, const KernelInfo& kern,
       tile_calls += panel_calls;
       tile_words += panel_calls * static_cast<std::uint64_t>(mr * nr * kcp);
     }
-    LDLA_TRACE_ADD_KERNEL(tile_calls, tile_words);
+    metrics::pipeline().kernel_calls.add(tile_calls);
+    metrics::pipeline().kernel_words.add(tile_words);
     if (hybrid) {
       SparseTileCounters tc;
       std::uint64_t fallback_tiles = 0;
@@ -224,8 +236,7 @@ inline void fused_syrk_tile(const PackedBitMatrix& a, const KernelInfo& kern,
                                scratch_ld, tc);
         }
       }
-      LDLA_TRACE_ADD_SPARSE(tc.ll_tiles, tc.ld_tiles, tc.intersections,
-                            fallback_tiles);
+      count_sparse(tc, fallback_tiles);
     }
   }
 
@@ -233,7 +244,7 @@ inline void fused_syrk_tile(const PackedBitMatrix& a, const KernelInfo& kern,
   const std::size_t i_hi = std::min(ic_end, row_end);
   const std::size_t j_lo = std::max(jc, row_begin);
   const std::size_t j_hi = std::min(jc_end, row_end);
-  LDLA_TRACE_ADD_TILE();
+  metrics::pipeline().count_tiles.inc();
   sink(CountTile{i_lo, j_lo, i_hi - i_lo, j_hi - j_lo,
                  &scratch[(i_lo - ic) * scratch_ld + (j_lo - jc)],
                  scratch_ld});

@@ -13,7 +13,7 @@
 //    imbalance from ragged edges or the SYRK triangle is absorbed by
 //    stealing instead of by a static split.
 // Chunks only regroup register tiles, so counts and the kernel-call /
-// kernel-word trace totals are identical for every team size.
+// kernel-word counter totals are identical for every team size.
 
 #include <algorithm>
 #include <cstdint>
@@ -26,9 +26,9 @@
 #include "core/gemm/syrk.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/contract.hpp"
+#include "util/metrics.hpp"
 #include "util/partition.hpp"
 #include "util/thread_pool.hpp"
-#include "util/trace.hpp"
 #include "util/work_steal.hpp"
 
 namespace ldla {
@@ -136,12 +136,12 @@ void drain_chunks(std::deque<WorkStealDeque<std::int64_t>>& deques,
       WorkStealDeque<std::int64_t>& victim = deques[(t + s) % team];
       while (!victim.empty_hint()) {
         if (victim.steal(idx)) {
-          LDLA_TRACE_ADD_STEAL();
+          metrics::pipeline().nest_steals.inc();
           run(idx);
         } else {
           // Lost the CAS race (or the owner drained it under us): someone
           // else made progress, so spinning here cannot livelock.
-          LDLA_TRACE_ADD_FAILED_STEAL();
+          metrics::pipeline().nest_failed_steals.inc();
         }
       }
     }

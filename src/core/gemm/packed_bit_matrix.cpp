@@ -5,6 +5,7 @@
 
 #include "core/bit_transpose.hpp"
 #include "util/contract.hpp"
+#include "util/metrics.hpp"
 #include "util/partition.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -264,7 +265,8 @@ PackedPanelView PackedBitMatrix::side_panel(const Side& side, std::size_t p,
                         slivers <= side.slivers - sliver_begin,
                     "packed sliver range out of range");
   const std::size_t kcp = panel_kc_padded(p);
-  LDLA_TRACE_ADD_REUSE(static_cast<std::uint64_t>(slivers));
+  metrics::pipeline().pack_slivers_reused.add(
+      static_cast<std::uint64_t>(slivers));
   return PackedPanelView{
       side.ptr + side.panel_offset[p] + sliver_begin * side.r * kcp,
       slivers, side.r, kcp};

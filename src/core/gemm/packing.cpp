@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "util/contract.hpp"
-#include "util/trace.hpp"
+#include "util/metrics.hpp"
 
 namespace ldla {
 
@@ -29,8 +29,9 @@ void pack_panel(const BitMatrixView& m, std::size_t row_begin,
 
   // Every packing path (persistent pack_side and pack_panel_view)
   // funnels through here, making this the sliver/byte accounting choke point.
-  LDLA_TRACE_ADD_PACK(static_cast<std::uint64_t>(slivers),
-                      static_cast<std::uint64_t>(slivers * r * kc_padded * 8));
+  metrics::pipeline().pack_slivers.add(static_cast<std::uint64_t>(slivers));
+  metrics::pipeline().pack_bytes.add(
+      static_cast<std::uint64_t>(slivers * r * kc_padded * 8));
 
   for (std::size_t s = 0; s < slivers; ++s) {
     std::uint64_t* dst = out + s * r * kc_padded;

@@ -235,19 +235,17 @@ Mutex g_memo_mu;
 Memo g_memo LDLA_GUARDED_BY(g_memo_mu);
 
 void count_hit() {
-  LDLA_METRICS_ONLY(
-      static metrics::Counter& c = metrics::counter(
-          "ldla_tune_cache_hits_total",
-          "tuning-cache lookups answered from the persistent file");
-      c.inc();)
+  static metrics::Counter& c = metrics::counter(
+      "ldla_tune_cache_hits_total",
+      "tuning-cache lookups answered from the persistent file");
+  c.inc();
 }
 
 void count_miss() {
-  LDLA_METRICS_ONLY(
-      static metrics::Counter& c = metrics::counter(
-          "ldla_tune_cache_misses_total",
-          "tuning-cache lookups that fell through to re-tuning");
-      c.inc();)
+  static metrics::Counter& c = metrics::counter(
+      "ldla_tune_cache_misses_total",
+      "tuning-cache lookups that fell through to re-tuning");
+  c.inc();
 }
 
 }  // namespace

@@ -289,7 +289,7 @@ CountTileSink top_pairs_sink(LdStatistic stat, const detail::StatTables& ta,
       tile.offer_row(gi, t.col_begin, row.data(), cols);
       ++rows_converted;
     }
-    LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
+    metrics::pipeline().epilogue_rows.add(rows_converted);
     shared.merge(tile);
   };
 }
@@ -297,30 +297,27 @@ CountTileSink top_pairs_sink(LdStatistic stat, const detail::StatTables& ta,
 }  // namespace
 
 LdMatrix ld_matrix(const BitMatrix& g, const LdOptions& opts) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_matrix_seconds", "ld_matrix driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
+  static metrics::Histogram& h_call = metrics::histogram(
+      "ldla_ld_matrix_seconds", "ld_matrix driver call latency");
+  metrics::ScopedLatency metrics_lat(h_call);
   return matrix_body(g, opts, 1);
 }
 
 LdMatrix ld_matrix_parallel(const BitMatrix& g, const LdOptions& opts,
                             unsigned threads) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_matrix_parallel_seconds",
-          "ld_matrix_parallel driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
+  static metrics::Histogram& h_call = metrics::histogram(
+      "ldla_ld_matrix_parallel_seconds",
+      "ld_matrix_parallel driver call latency");
+  metrics::ScopedLatency metrics_lat(h_call);
   return matrix_body(g, opts, resolve_threads(threads));
 }
 
 LdMatrix ld_cross_matrix(const BitMatrix& a, const BitMatrix& b,
                          const LdOptions& opts) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_cross_matrix_seconds",
-          "ld_cross_matrix driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
+  static metrics::Histogram& h_call = metrics::histogram(
+      "ldla_ld_cross_matrix_seconds",
+      "ld_cross_matrix driver call latency");
+  metrics::ScopedLatency metrics_lat(h_call);
   return cross_matrix_body(a, b, opts, 1);
 }
 
@@ -331,29 +328,26 @@ LdMatrix ld_cross_matrix_parallel(const BitMatrix& a, const BitMatrix& b,
 
 void ld_scan(const BitMatrix& g, const LdTileVisitor& visit,
              const LdOptions& opts) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_scan_seconds", "ld_scan driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
+  static metrics::Histogram& h_call = metrics::histogram(
+      "ldla_ld_scan_seconds", "ld_scan driver call latency");
+  metrics::ScopedLatency metrics_lat(h_call);
   scan_body(g, visit, opts, 1);
 }
 
 void ld_scan_parallel(const BitMatrix& g, const LdTileVisitor& visit,
                       const LdOptions& opts, unsigned threads) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_scan_parallel_seconds",
-          "ld_scan_parallel driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
+  static metrics::Histogram& h_call = metrics::histogram(
+      "ldla_ld_scan_parallel_seconds",
+      "ld_scan_parallel driver call latency");
+  metrics::ScopedLatency metrics_lat(h_call);
   scan_body(g, visit, opts, resolve_threads(threads));
 }
 
 void ld_cross_scan(const BitMatrix& a, const BitMatrix& b,
                    const LdTileVisitor& visit, const LdOptions& opts) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_cross_scan_seconds", "ld_cross_scan driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
+  static metrics::Histogram& h_call = metrics::histogram(
+      "ldla_ld_cross_scan_seconds", "ld_cross_scan driver call latency");
+  metrics::ScopedLatency metrics_lat(h_call);
   cross_scan_body(a, b, visit, opts, 1);
 }
 
@@ -412,10 +406,9 @@ std::vector<RankedPair> ld_cross_top_pairs(const BitMatrix& a,
 
 void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
                   const LdOptions& opts) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_stat_scan_seconds", "ld_stat_scan driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
+  static metrics::Histogram& h_call = metrics::histogram(
+      "ldla_ld_stat_scan_seconds", "ld_stat_scan driver call latency");
+  metrics::ScopedLatency metrics_lat(h_call);
   const std::size_t n = g.snps();
   if (n == 0) return;
   LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
@@ -439,7 +432,7 @@ void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
                                    t.col_begin, t.row(i), t.cols,
                                    &values[i * t.cols]);
         }
-        LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
+        metrics::pipeline().epilogue_rows.add(t.rows);
       }
       visit(LdTile{t.row_begin, t.col_begin, t.rows, t.cols, values.data(),
                    t.cols});
@@ -459,7 +452,7 @@ void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
         ++rows_converted;
         visit(LdTile{gi, t.col_begin, 1, width, values.data(), width});
       }
-      LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
+      metrics::pipeline().epilogue_rows.add(rows_converted);
     }
   });
 }
@@ -467,11 +460,10 @@ void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
 void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
                         const LdStatTileVisitor& visit,
                         const LdOptions& opts) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_ld_cross_stat_scan_seconds",
-          "ld_cross_stat_scan driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
+  static metrics::Histogram& h_call = metrics::histogram(
+      "ldla_ld_cross_stat_scan_seconds",
+      "ld_cross_stat_scan driver call latency");
+  metrics::ScopedLatency metrics_lat(h_call);
   LDLA_EXPECT(a.samples() == b.samples(),
               "cross-matrix LD needs matching sample sets");
   const std::size_t m = a.snps();
@@ -499,7 +491,7 @@ void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
                                        t.col_begin, t.row(i), t.cols,
                                        &values[i * t.cols]);
       }
-      LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
+      metrics::pipeline().epilogue_rows.add(t.rows);
     }
     visit(LdTile{t.row_begin, t.col_begin, t.rows, t.cols, values.data(),
                  t.cols});

@@ -119,12 +119,7 @@ class PairWalker {
       for (const ShardKey& key : next) {
         if (!key.first->is_materialized(key.second)) {
           key.first->prefetch(key.second);  // async readahead hint
-          LDLA_TRACE_ADD_PREFETCH_ISSUED();
-          LDLA_METRICS_ONLY(
-              static metrics::Counter& c_issued = metrics::counter(
-                  "ldla_stream_prefetch_issued_total",
-                  "shard prefetches initiated ahead of need");
-              c_issued.inc();)
+          metrics::pipeline().prefetch_issued.inc();
           targets.push_back(key);
         }
       }
@@ -139,19 +134,17 @@ class PairWalker {
         // run_tasks rule.
         global_pool().run_tasks(2, [&](std::size_t task) {
           if (task == 0) {
-            LDLA_METRICS_ONLY(
-                static metrics::Histogram& h_compute = metrics::histogram(
-                    "ldla_stream_pair_compute_seconds",
-                    "per-shard-pair fused compute latency");
-                metrics::ScopedLatency metrics_lat(h_compute);)
+            static metrics::Histogram& h_compute = metrics::histogram(
+                "ldla_stream_pair_compute_seconds",
+                "per-shard-pair fused compute latency");
+            metrics::ScopedLatency metrics_lat(h_compute);
             compute(cur, pr, pc);
           } else {
-            LDLA_METRICS_ONLY(
-                static metrics::Histogram& h_mat = metrics::histogram(
-                    "ldla_stream_pair_materialize_seconds",
-                    "overlapped materialization latency for a pair's cold "
-                    "shards");
-                metrics::ScopedLatency metrics_lat(h_mat);)
+            static metrics::Histogram& h_mat = metrics::histogram(
+                "ldla_stream_pair_materialize_seconds",
+                "overlapped materialization latency for a pair's cold "
+                "shards");
+            metrics::ScopedLatency metrics_lat(h_mat);
             for (const ShardKey& key : targets) {
               key.first->shard(key.second);
               note_use(key);
@@ -162,11 +155,10 @@ class PairWalker {
         // Nest mode (threads != 1): the parallel drivers own the pool, so
         // the madvise hint above is all the lookahead we get; the next
         // acquire will honestly count a stall.
-        LDLA_METRICS_ONLY(
-            static metrics::Histogram& h_compute = metrics::histogram(
-                "ldla_stream_pair_compute_seconds",
-                "per-shard-pair fused compute latency");
-            metrics::ScopedLatency metrics_lat(h_compute);)
+        static metrics::Histogram& h_compute = metrics::histogram(
+            "ldla_stream_pair_compute_seconds",
+            "per-shard-pair fused compute latency");
+        metrics::ScopedLatency metrics_lat(h_compute);
         compute(cur, pr, pc);
       }
     }
@@ -175,19 +167,9 @@ class PairWalker {
  private:
   const PackedBitMatrix& acquire(const ShardKey& key) {
     if (key.first->is_materialized(key.second)) {
-      LDLA_TRACE_ADD_PREFETCH_HIT();
-      LDLA_METRICS_ONLY(
-          static metrics::Counter& c_hits = metrics::counter(
-              "ldla_stream_prefetch_hits_total",
-              "shard acquisitions served already-materialized");
-          c_hits.inc();)
+      metrics::pipeline().prefetch_hits.inc();
     } else {
-      LDLA_TRACE_ADD_PREFETCH_STALL();
-      LDLA_METRICS_ONLY(
-          static metrics::Counter& c_stalls = metrics::counter(
-              "ldla_stream_prefetch_stalls_total",
-              "shard acquisitions materialized on the critical path");
-          c_stalls.inc();)
+      metrics::pipeline().prefetch_stalls.inc();
     }
     const PackedBitMatrix& pk = key.first->shard(key.second);
     note_use(key);
@@ -226,17 +208,15 @@ class PairWalker {
       resident -= it->first->shard_bytes(it->second);
       it->first->release(it->second);
       it = lru_.erase(it);
-      LDLA_METRICS_ONLY(
-          static metrics::Counter& c_evict = metrics::counter(
-              "ldla_stream_evictions_total",
-              "LRU shard evictions by the residency budget");
-          c_evict.inc();)
+      static metrics::Counter& c_evict = metrics::counter(
+          "ldla_stream_evictions_total",
+          "LRU shard evictions by the residency budget");
+      c_evict.inc();
     }
-    LDLA_METRICS_ONLY(
-        static metrics::Gauge& g_resident = metrics::gauge(
-            "ldla_stream_resident_bytes",
-            "bookkept shard-store residency after make_room");
-        g_resident.set(static_cast<std::uint64_t>(resident));)
+    static metrics::Gauge& g_resident = metrics::gauge(
+        "ldla_stream_resident_bytes",
+        "bookkept shard-store residency after make_room");
+    g_resident.set(static_cast<std::uint64_t>(resident));
   }
 
   ShardStore* rs_;
@@ -250,11 +230,10 @@ class PairWalker {
 
 void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
                       const StreamOptions& opts) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_stream_seconds",
-          "ld_matrix_stream / ld_cross_stream driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
+  static metrics::Histogram& h_call = metrics::histogram(
+      "ldla_stream_seconds",
+      "ld_matrix_stream / ld_cross_stream driver call latency");
+  metrics::ScopedLatency metrics_lat(h_call);
   LDLA_EXPECT(visit != nullptr, "stat-tile stream needs a visitor");
   const std::size_t S = store.shards();
   if (S == 0) return;
@@ -282,7 +261,7 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
                                    base + t.col_begin, t.row(i), t.cols,
                                    &values[i * t.cols]);
         }
-        LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
+        metrics::pipeline().epilogue_rows.add(t.rows);
       }
       visit(LdTile{base + t.row_begin, base + t.col_begin, t.rows, t.cols,
                    values, t.cols});
@@ -300,7 +279,7 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
         ++rows_converted;
         visit(LdTile{base + li, base + t.col_begin, 1, width, values, width});
       }
-      LDLA_TRACE_ADD_EPILOGUE_ROWS(rows_converted);
+      metrics::pipeline().epilogue_rows.add(rows_converted);
     }
   };
   const auto emit_gemm = [&](std::size_t rbase, std::size_t cbase,
@@ -313,7 +292,7 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
                                  cbase + t.col_begin, t.row(i), t.cols,
                                  &values[i * t.cols]);
       }
-      LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
+      metrics::pipeline().epilogue_rows.add(t.rows);
     }
     visit(LdTile{rbase + t.row_begin, cbase + t.col_begin, t.rows, t.cols,
                  values, t.cols});
@@ -357,11 +336,10 @@ void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
 void ld_cross_stream(ShardStore& a, ShardStore& b,
                      const LdStatTileVisitor& visit,
                      const StreamOptions& opts) {
-  LDLA_METRICS_ONLY(
-      static metrics::Histogram& h_call = metrics::histogram(
-          "ldla_stream_seconds",
-          "ld_matrix_stream / ld_cross_stream driver call latency");
-      metrics::ScopedLatency metrics_lat(h_call);)
+  static metrics::Histogram& h_call = metrics::histogram(
+      "ldla_stream_seconds",
+      "ld_matrix_stream / ld_cross_stream driver call latency");
+  metrics::ScopedLatency metrics_lat(h_call);
   LDLA_EXPECT(visit != nullptr, "stat-tile stream needs a visitor");
   LDLA_EXPECT(a.samples() == b.samples(),
               "cross-matrix LD needs matching sample sets");
@@ -408,7 +386,7 @@ void ld_cross_stream(ShardStore& a, ShardStore& b,
                                          tb, cbase + t.col_begin, t.row(i),
                                          t.cols, &values[i * t.cols]);
         }
-        LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
+        metrics::pipeline().epilogue_rows.add(t.rows);
       }
       visit(LdTile{rbase + t.row_begin, cbase + t.col_begin, t.rows, t.cols,
                    values, t.cols});

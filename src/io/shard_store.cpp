@@ -734,11 +734,10 @@ std::unique_ptr<PackedBitMatrix> ShardStore::materialize(std::size_t i) const {
   // resident-byte accounting keeps the mapped sizes as an approximation).
   const BitMatrix m = unpack_packed(*mapped);
   mapped.reset();
-  LDLA_METRICS_ONLY(
-      static metrics::Counter& c_rp = metrics::counter(
-          "ldla_shard_repacks_total",
-          "shards re-packed at materialization (pack-geometry mismatch)");
-      c_rp.inc();)
+  static metrics::Counter& c_rp = metrics::counter(
+      "ldla_shard_repacks_total",
+      "shards re-packed at materialization (pack-geometry mismatch)");
+  c_rp.inc();
   return std::make_unique<PackedBitMatrix>(m.view(), *repack_plan_,
                                            PackSides::kBoth);
 }
@@ -801,16 +800,11 @@ const PackedBitMatrix& ShardStore::shard(std::size_t i) {
     touch_extent(rec.a_off, rec.a_words * 8);
     touch_extent(rec.b_off, rec.b_words * 8);
     touch_extent(rec.sm_off, index_.n_samples * rec.sm_stride * 8);
-    LDLA_TRACE_ADD_IO_READ(shard_bytes_[i]);
-    LDLA_METRICS_ONLY(
-        static metrics::Counter& c_mat = metrics::counter(
-            "ldla_shard_materializations_total",
-            "shards materialized (packed payloads faulted in)");
-        static metrics::Counter& c_io = metrics::counter(
-            "ldla_shard_io_bytes_total",
-            "shard payload bytes explicitly faulted/read");
-        c_mat.inc();
-        c_io.add(shard_bytes_[i]);)
+    static metrics::Counter& c_mat = metrics::counter(
+        "ldla_shard_materializations_total",
+        "shards materialized (packed payloads faulted in)");
+    c_mat.inc();
+    metrics::pipeline().shard_io_bytes.add(shard_bytes_[i]);
   }
   MutexLock lock(mu_);
   if (!wrappers_[i]) {
@@ -834,11 +828,10 @@ void ShardStore::release(std::size_t i) {
     wrappers_[i].reset();
     resident_ -= shard_bytes_[i];
   }
-  LDLA_METRICS_ONLY(
-      static metrics::Counter& c_rel = metrics::counter(
-          "ldla_shard_releases_total",
-          "shards released back to the page cache");
-      c_rel.inc();)
+  static metrics::Counter& c_rel = metrics::counter(
+      "ldla_shard_releases_total",
+      "shards released back to the page cache");
+  c_rel.inc();
   // Hand the pages back: page-align each extent inward-safely (WILLNEED in
   // prefetch() aligns outward; DONTNEED must not clip a neighboring
   // still-resident extent, so only fully-owned pages are dropped).

@@ -140,18 +140,17 @@ void TileStoreWriter::add(const LdTile& t) {
   payload_bytes_ += rec.bytes;
   raw_bytes_ += rec.raw_bytes;
   index_.push_back(rec);
-  LDLA_METRICS_ONLY(
-      static metrics::Counter& c_tiles = metrics::counter(
-          "ldla_tiles_written_total", "stat tiles written to tile stores");
-      static metrics::Counter& c_payload = metrics::counter(
-          "ldla_tile_payload_bytes_total",
-          "encoded tile payload bytes written");
-      static metrics::Counter& c_raw = metrics::counter(
-          "ldla_tile_raw_bytes_total",
-          "pre-codec tile bytes (rows * cols * 8)");
-      c_tiles.inc();
-      c_payload.add(rec.bytes);
-      c_raw.add(rec.raw_bytes);)
+  static metrics::Counter& c_tiles = metrics::counter(
+      "ldla_tiles_written_total", "stat tiles written to tile stores");
+  static metrics::Counter& c_payload = metrics::counter(
+      "ldla_tile_payload_bytes_total",
+      "encoded tile payload bytes written");
+  static metrics::Counter& c_raw = metrics::counter(
+      "ldla_tile_raw_bytes_total",
+      "pre-codec tile bytes (rows * cols * 8)");
+  c_tiles.inc();
+  c_payload.add(rec.bytes);
+  c_raw.add(rec.raw_bytes);
 }
 
 void TileStoreWriter::close() {

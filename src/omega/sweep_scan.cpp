@@ -8,6 +8,7 @@
 #include "core/gemm/syrk.hpp"
 #include "omega/omega_stat.hpp"
 #include "util/contract.hpp"
+#include "util/metrics.hpp"
 #include "util/partition.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -75,7 +76,7 @@ std::optional<OmegaPoint> scan_window(const ScanContext& ctx, double x,
         r2(pj, pi) = v;
       }
     }
-    LDLA_TRACE_ADD_EPILOGUE_ROWS(static_cast<std::uint64_t>(t.rows));
+    metrics::pipeline().epilogue_rows.add(t.rows);
   });
   const OmegaMax m = omega_max(r2);
   return OmegaPoint{x, m.omega, begin, end, m.split};

@@ -10,7 +10,6 @@
 #include "util/contract.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
-#include "util/trace.hpp"
 
 namespace ldla::metrics {
 
@@ -270,49 +269,55 @@ Info& info(const char* name, const char* label, const char* help) {
   return m;
 }
 
-// ---------------------------------------------------------------------------
-// Trace bridge
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Mirror trace-layer totals into gauges before a scrape, so a scraper (or
-// test) can cross-check the two observability layers. Gauges, not counters:
-// the trace snapshot is already an aggregate, and re-publishing it as a
-// last-writer-wins value keeps the bridge idempotent across scrapes.
-void bridge_trace() {
-  if (!trace::compiled()) return;
-  const trace::TraceSnapshot s = trace::snapshot();
-  gauge("ldla_trace_task_runs", "trace-layer mirror: pool tasks executed")
-      .set(s.counters.task_runs);
-  gauge("ldla_trace_steals", "trace-layer mirror: successful deque steals")
-      .set(s.counters.steals);
-  gauge("ldla_trace_failed_steals", "trace-layer mirror: failed steal probes")
-      .set(s.counters.failed_steals);
-  gauge("ldla_trace_parks", "trace-layer mirror: worker parks")
-      .set(s.counters.parks);
-  gauge("ldla_trace_io_bytes_read",
-        "trace-layer mirror: bytes faulted/read by the shard store")
-      .set(s.counters.io_bytes_read);
-  gauge("ldla_trace_prefetch_issued",
-        "trace-layer mirror: shard prefetches initiated")
-      .set(s.counters.prefetch_issued);
-  gauge("ldla_trace_prefetch_hits",
-        "trace-layer mirror: shard acquisitions already materialized")
-      .set(s.counters.prefetch_hits);
-  gauge("ldla_trace_prefetch_stalls",
-        "trace-layer mirror: shard acquisitions on the critical path")
-      .set(s.counters.prefetch_stalls);
+const PipelineCounters& pipeline() {
+  static const PipelineCounters c{
+      counter("ldla_pack_bytes_total", "bytes written into packed slivers"),
+      counter("ldla_pack_slivers_total", "slivers freshly packed"),
+      counter("ldla_pack_slivers_reused_total",
+              "sliver views served from a persistent pack"),
+      counter("ldla_kernel_calls_total", "micro-kernel invocations"),
+      counter("ldla_kernel_words_total", "popcount word-triples processed"),
+      counter("ldla_count_tiles_total", "fused count tiles handed to sinks"),
+      counter("ldla_epilogue_rows_total",
+              "fused-epilogue statistic rows converted"),
+      counter("ldla_pool_tasks_total", "thread-pool tasks executed"),
+      counter("ldla_pool_steals_total", "deque items taken by a non-owner"),
+      counter("ldla_pool_failed_steals_total",
+              "steal probes that found nothing or lost the race"),
+      counter("ldla_pool_parks_total",
+              "worker blocks on the idle condition variable"),
+      counter("ldla_pool_barrier_waits_total",
+              "fork-join caller barriers (pooled run_tasks joins)"),
+      counter("ldla_nest_steals_total",
+              "count-nest chunks taken from another team member's deque"),
+      counter("ldla_nest_failed_steals_total",
+              "count-nest chunk steals that lost the race"),
+      counter("ldla_sparse_ll_tiles_total",
+              "list x list sparse register-tile kernel calls"),
+      counter("ldla_sparse_ld_tiles_total",
+              "list x dense sparse register-tile kernel calls"),
+      counter("ldla_sparse_intersections_total",
+              "sparse row-pair list intersections computed"),
+      counter("ldla_sparse_dense_fallback_tiles_total",
+              "register tiles kept dense inside hybrid tiles"),
+      counter("ldla_shard_io_bytes_total",
+              "shard payload bytes explicitly faulted/read"),
+      counter("ldla_stream_prefetch_issued_total",
+              "shard prefetches initiated ahead of need"),
+      counter("ldla_stream_prefetch_hits_total",
+              "shard acquisitions served already-materialized"),
+      counter("ldla_stream_prefetch_stalls_total",
+              "shard acquisitions materialized on the critical path"),
+  };
+  return c;
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Exporters
 // ---------------------------------------------------------------------------
 
 std::string render_prometheus() {
-  bridge_trace();
+  (void)pipeline();
   std::string out;
   out.reserve(8192);
   const auto help_line = [&out](const char* name, const char* help,
@@ -410,7 +415,7 @@ std::string render_prometheus() {
 }
 
 std::string render_json() {
-  bridge_trace();
+  (void)pipeline();
   std::string out;
   out.reserve(8192);
   out += "{\"schema\": \"ldla-metrics-v1\", \"enabled\": ";

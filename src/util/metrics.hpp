@@ -1,13 +1,13 @@
-// Always-on runtime metrics: lock-free counters, gauges, and log-linear
-// latency histograms with Prometheus / JSON exporters and a background
+// Runtime metrics: lock-free counters, gauges, and log-linear latency
+// histograms with Prometheus / JSON exporters and a background
 // process-health sampler.
 //
-// Relationship to util/trace.hpp (DESIGN.md §5c): the trace layer is
-// compile-time-gated (LDLA_TRACE) and built for offline Chrome-trace
-// analysis of a single run; this layer is compiled into every build and
-// built for live scraping of a long-running process. When both are
-// compiled, scrapes bridge trace::snapshot() into `ldla_trace_*` gauges so
-// the two layers can be cross-checked.
+// This registry is the only place a counter lives (DESIGN.md §5b). The
+// pipeline's event counters (pack, kernel, epilogue, sparse, pool, nest,
+// shard I/O, prefetch) are registry Counters too — see pipeline() below —
+// and trace::snapshot() reads them back for its PhaseCounters view.
+// util/trace.hpp keeps only spans, Perfetto sessions and perf-event
+// attribution.
 //
 // Hot-path cost model:
 //   Counter::add   — one relaxed fetch_add on a thread-striped cache line
@@ -17,26 +17,19 @@
 //                    search), then three relaxed fetch_adds.
 // No sink allocates, locks, or syscalls. Aggregation happens at scrape
 // time (render_prometheus / render_json), which takes the registry mutex
-// and sums stripes/buckets with relaxed loads.
+// and sums stripes/buckets with relaxed loads. set_enabled(false) freezes
+// every sink at the cost of one relaxed load + branch per call.
 //
 // Registration (`metrics::counter(name, help)` etc.) is find-or-create by
 // name in fixed-capacity static storage; call it once per site through a
 // function-local static reference:
 //
-//   LDLA_METRICS_ONLY(
-//       static metrics::Counter& c =
-//           metrics::counter("ldla_pool_tasks_total", "tasks executed");
-//       c.inc();)
+//   static metrics::Counter& c =
+//       metrics::counter("ldla_tune_cache_hits_total", "cache hits");
+//   c.inc();
 //
 // `name` and `help` must be string literals (or otherwise outlive the
 // process); the registry stores the pointers, not copies.
-//
-// The CMake option LDLA_METRICS (default ON) gates only the
-// LDLA_METRICS_ONLY(...) instrumentation macro: the registry, exporters,
-// and sampler are always compiled and linkable, so tooling and tests work
-// in every preset, while -DLDLA_METRICS=OFF provides the compiled-out
-// control for overhead measurement (library hot paths carry no metrics
-// code at all).
 #pragma once
 
 #include <atomic>
@@ -47,24 +40,7 @@
 
 #include "util/annotations.hpp"
 
-#if defined(LDLA_METRICS_ENABLED)
-#define LDLA_METRICS_ONLY(...) __VA_ARGS__
-#else
-#define LDLA_METRICS_ONLY(...)
-#endif
-
 namespace ldla::metrics {
-
-/// True when LDLA_METRICS_ONLY(...) instrumentation is compiled into the
-/// library (CMake -DLDLA_METRICS=ON). The registry itself is always
-/// available either way.
-constexpr bool compiled() {
-#if defined(LDLA_METRICS_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
 
 namespace detail {
 
@@ -90,8 +66,8 @@ struct Registry;  // registration/render internals (metrics.cpp)
 }  // namespace detail
 
 /// Enable/disable every sink at runtime (scrapes still work while
-/// disabled; they just see frozen values). Used by the bench overhead arm
-/// as the runtime proxy for the compile-out control.
+/// disabled; they just see frozen values). The single counter kill
+/// switch; the fig. 3 bench overhead arm measures its cost.
 void set_enabled(bool on) noexcept;
 bool enabled() noexcept;
 
@@ -274,6 +250,37 @@ Gauge& gauge(const char* name, const char* help);
 Histogram& histogram(const char* name, const char* help);
 Info& info(const char* name, const char* label, const char* help);
 
+/// The pipeline's event counters, one registry Counter per
+/// trace::PhaseCounters quantity (steals and failed steals split into
+/// their pool and nest halves). All are registered together, in
+/// metrics.cpp, on the first call; each event has exactly one increment
+/// site in the library.
+struct PipelineCounters {
+  Counter& pack_bytes;           ///< bytes written into packed slivers
+  Counter& pack_slivers;         ///< slivers freshly packed
+  Counter& pack_slivers_reused;  ///< sliver views served from a persistent pack
+  Counter& kernel_calls;         ///< micro-kernel invocations
+  Counter& kernel_words;         ///< popcount word-triples processed
+  Counter& count_tiles;          ///< fused CountTiles handed to sinks
+  Counter& epilogue_rows;        ///< fused-epilogue stat rows converted
+  Counter& pool_tasks;           ///< thread-pool tasks executed
+  Counter& pool_steals;          ///< pool deque items taken by a non-owner
+  Counter& pool_failed_steals;   ///< pool steal probes that found nothing
+  Counter& pool_parks;           ///< worker blocks on the idle condvar
+  Counter& pool_barrier_waits;   ///< fork-join caller barriers
+  Counter& nest_steals;          ///< count-nest chunks taken by a non-owner
+  Counter& nest_failed_steals;   ///< count-nest steal CAS races lost
+  Counter& sparse_ll_tiles;      ///< list x list register-tile kernel calls
+  Counter& sparse_ld_tiles;      ///< list x dense register-tile kernel calls
+  Counter& sparse_intersections;  ///< sparse row-pair intersections
+  Counter& sparse_dense_fallback_tiles;  ///< register tiles kept dense
+  Counter& shard_io_bytes;       ///< shard payload bytes faulted/read
+  Counter& prefetch_issued;      ///< shard prefetches initiated ahead of need
+  Counter& prefetch_hits;        ///< shard acquisitions already materialized
+  Counter& prefetch_stalls;      ///< shard acquisitions on the critical path
+};
+const PipelineCounters& pipeline();
+
 /// RAII latency sample into a histogram (nanosecond steady-clock delta).
 /// When metrics are runtime-disabled at construction, the timestamp is
 /// skipped entirely.
@@ -294,9 +301,8 @@ class ScopedLatency {
 
 /// Render every registered metric in Prometheus text exposition format
 /// 0.0.4 (# HELP / # TYPE / samples; histograms emit cumulative
-/// `_bucket{le="..."}` series in seconds plus `_sum`/`_count`). When the
-/// trace layer is compiled, trace::snapshot() totals are bridged into
-/// `ldla_trace_*` gauges first.
+/// `_bucket{le="..."}` series in seconds plus `_sum`/`_count`). The
+/// pipeline() counters are always rendered, zero or not.
 std::string render_prometheus();
 
 /// Render a JSON snapshot: {"schema":"ldla-metrics-v1","counters":{...},

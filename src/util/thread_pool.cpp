@@ -59,14 +59,10 @@ ThreadPool::~ThreadPool() {
 // destroyed between the decrement and the notify.
 void ThreadPool::run_node(TaskNode* node) {
   LDLA_TRACE_TASK_DEQUEUED(node->enqueued_ns);
-  LDLA_METRICS_ONLY(
-      static metrics::Counter& c_tasks = metrics::counter(
-          "ldla_pool_tasks_total", "thread-pool tasks executed");
-      c_tasks.inc();)
+  metrics::pipeline().pool_tasks.inc();
   std::exception_ptr error;
   try {
     LDLA_TRACE_SPAN(kTaskRun);
-    LDLA_TRACE_ADD_TASK_RUN();
     (*node->set->fn)(node->index);
   } catch (...) {
     error = std::current_exception();
@@ -86,19 +82,10 @@ ThreadPool::TaskNode* ThreadPool::try_steal_any() noexcept {
     if (sub.deque.empty_hint()) continue;
     TaskNode* node = nullptr;
     if (sub.deque.steal(node)) {
-      LDLA_TRACE_ADD_STEAL();
-      LDLA_METRICS_ONLY(
-          static metrics::Counter& c_steals = metrics::counter(
-              "ldla_pool_steals_total", "deque items taken by a non-owner");
-          c_steals.inc();)
+      metrics::pipeline().pool_steals.inc();
       return node;
     }
-    LDLA_TRACE_ADD_FAILED_STEAL();
-    LDLA_METRICS_ONLY(
-        static metrics::Counter& c_failed = metrics::counter(
-            "ldla_pool_failed_steals_total",
-            "steal probes that found nothing or lost the race");
-        c_failed.inc();)
+    metrics::pipeline().pool_failed_steals.inc();
   }
   return nullptr;
 }
@@ -117,12 +104,7 @@ void ThreadPool::worker_loop(unsigned worker_index) {
     MutexLock lock(mutex_);
     if (stop_) return;
     if (pending_.load(std::memory_order_relaxed) > 0) continue;  // re-sweep
-    LDLA_TRACE_ADD_PARK();
-    LDLA_METRICS_ONLY(
-        static metrics::Counter& c_parks = metrics::counter(
-            "ldla_pool_parks_total",
-            "worker blocks on the idle condition variable");
-        c_parks.inc();)
+    metrics::pipeline().pool_parks.inc();
     // Manual predicate loop (not the lambda overload) so the guarded reads
     // of stop_ stay inside this function's analyzed lock scope.
     while (!stop_ && pending_.load(std::memory_order_relaxed) == 0) {
@@ -143,11 +125,7 @@ void ThreadPool::run_tasks(std::size_t tasks,
     for (std::size_t t = 0; t < count; ++t) {
       try {
         LDLA_TRACE_SPAN(kTaskRun);
-        LDLA_TRACE_ADD_TASK_RUN();
-        LDLA_METRICS_ONLY(
-            static metrics::Counter& c_tasks = metrics::counter(
-                "ldla_pool_tasks_total", "thread-pool tasks executed");
-            c_tasks.inc();)
+        metrics::pipeline().pool_tasks.inc();
         fn(t);
       } catch (...) {
         if (!first_error) first_error = std::current_exception();
@@ -197,12 +175,10 @@ void ThreadPool::run_tasks(std::size_t tasks,
     sub->deque.push(&nodes[t]);
   }
   pending_.fetch_add(pushed, std::memory_order_relaxed);
-  LDLA_METRICS_ONLY(
-      static metrics::Gauge& g_depth = metrics::gauge(
-          "ldla_pool_queue_depth",
-          "task nodes resident in submission deques");
-      g_depth.set(static_cast<std::uint64_t>(
-          pending_.load(std::memory_order_relaxed)));)
+  static metrics::Gauge& g_depth = metrics::gauge(
+      "ldla_pool_queue_depth", "task nodes resident in submission deques");
+  g_depth.set(
+      static_cast<std::uint64_t>(pending_.load(std::memory_order_relaxed)));
   {
     // Empty critical section: pairs with the worker's predicate check so
     // a worker between "saw pending == 0" and "blocked" cannot miss the
@@ -227,12 +203,7 @@ void ThreadPool::run_tasks(std::size_t tasks,
   std::exception_ptr first_error;
   {
     MutexLock lock(set.m);
-    LDLA_TRACE_ADD_BARRIER_WAIT();
-    LDLA_METRICS_ONLY(
-        static metrics::Counter& c_barriers = metrics::counter(
-            "ldla_pool_barrier_waits_total",
-            "fork-join caller barriers (pooled run_tasks joins)");
-        c_barriers.inc();)
+    metrics::pipeline().pool_barrier_waits.inc();
     if (set.remaining > 0) {
       LDLA_TRACE_SPAN(kBarrier);
       while (set.remaining > 0) set.done.wait(lock);

@@ -1,13 +1,13 @@
-// Implementation of the phase-counter / span / session layer declared in
-// util/trace.hpp. Storage model: a fixed static array of cache-line-aligned
-// per-thread slots (no heap allocation on the hot path; the repo's
-// allocation choke point stays intact). A thread claims a slot on first
-// instrumented call and keeps it for the process lifetime; counter and
-// phase-time writes are relaxed fetch_adds on the owner's dedicated cache
-// line, so there is no cross-thread contention and snapshot() can aggregate
-// lock-free from any thread. If more threads than slots ever appear, the
-// overflow threads share the last slot: fetch_add keeps their *counters*
-// exact, and the owner-only span machinery is disabled for them.
+// Implementation of the span / session layer declared in util/trace.hpp.
+// Storage model: a fixed static array of cache-line-aligned per-thread
+// slots (no heap allocation on the hot path; the repo's allocation choke
+// point stays intact). A thread claims a slot on first instrumented call
+// and keeps it for the process lifetime; phase-time writes are relaxed
+// fetch_adds on the owner's dedicated cache line, so there is no
+// cross-thread contention and snapshot() can aggregate lock-free from any
+// thread. If more threads than slots ever appear, the overflow threads
+// share the last slot with the span machinery disabled for them.
+// Event counters live in the metrics registry; snapshot() reads them.
 #include "util/trace.hpp"
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "util/contract.hpp"
 #include "util/sync.hpp"
 #include "util/cpu_info.hpp"
+#include "util/metrics.hpp"
 #include "util/peak.hpp"
 #include "util/perf_counters.hpp"
 #include "util/timer.hpp"
@@ -99,6 +100,38 @@ TraceSnapshot TraceSnapshot::since(const TraceSnapshot& earlier) const {
   return d;
 }
 
+namespace {
+
+// The registry counters behind each PhaseCounters field.
+PhaseCounters read_counters() {
+  const metrics::PipelineCounters& c = metrics::pipeline();
+  PhaseCounters out;
+  out.bytes_packed = c.pack_bytes.value();
+  out.slivers_packed = c.pack_slivers.value();
+  out.slivers_reused = c.pack_slivers_reused.value();
+  out.kernel_calls = c.kernel_calls.value();
+  out.kernel_words = c.kernel_words.value();
+  out.tiles_emitted = c.count_tiles.value();
+  out.epilogue_rows = c.epilogue_rows.value();
+  out.task_runs = c.pool_tasks.value();
+  out.steals = c.pool_steals.value() + c.nest_steals.value();
+  out.failed_steals =
+      c.pool_failed_steals.value() + c.nest_failed_steals.value();
+  out.parks = c.pool_parks.value();
+  out.barrier_waits = c.pool_barrier_waits.value();
+  out.sparse_ll_tiles = c.sparse_ll_tiles.value();
+  out.sparse_ld_tiles = c.sparse_ld_tiles.value();
+  out.list_intersections = c.sparse_intersections.value();
+  out.dense_fallback_tiles = c.sparse_dense_fallback_tiles.value();
+  out.io_bytes_read = c.shard_io_bytes.value();
+  out.prefetch_issued = c.prefetch_issued.value();
+  out.prefetch_hits = c.prefetch_hits.value();
+  out.prefetch_stalls = c.prefetch_stalls.value();
+  return out;
+}
+
+}  // namespace
+
 #if defined(LDLA_TRACE_ENABLED)
 
 namespace {
@@ -107,31 +140,6 @@ constexpr std::uint32_t kMaxSlots = 128;
 constexpr int kMaxDepth = 16;
 constexpr std::size_t kMaxEventsPerThread = std::size_t{1} << 20;
 constexpr std::size_t kNumPerf = 4;
-
-// Counter indices, matching the PhaseCounters field order.
-enum CounterIndex : std::size_t {
-  kCBytesPacked = 0,
-  kCSliversPacked,
-  kCSliversReused,
-  kCKernelCalls,
-  kCKernelWords,
-  kCTilesEmitted,
-  kCEpilogueRows,
-  kCTaskRuns,
-  kCSteals,
-  kCFailedSteals,
-  kCParks,
-  kCBarrierWaits,
-  kCSparseLlTiles,
-  kCSparseLdTiles,
-  kCListIntersections,
-  kCDenseFallbackTiles,
-  kCIoBytesRead,
-  kCPrefetchIssued,
-  kCPrefetchHits,
-  kCPrefetchStalls,
-  kNumCounters,
-};
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -143,7 +151,6 @@ std::uint64_t now_ns() {
 struct alignas(64) Slot {
   // Any-thread-readable, owner-written (overflow threads may share writes;
   // fetch_add keeps the totals exact either way).
-  std::atomic<std::uint64_t> counters[kNumCounters] = {};
   std::atomic<std::uint64_t> phase_ns[kPhaseCount] = {};
   std::atomic<std::uint64_t> perf[kPhaseCount][kNumPerf] = {};
   std::atomic<bool> shared{false};
@@ -197,10 +204,6 @@ Slot* slot() {
     t_slot = s;
   }
   return s;
-}
-
-void add_counter(std::size_t which, std::uint64_t x) {
-  slot()->counters[which].fetch_add(x, std::memory_order_relaxed);
 }
 
 // Append a span event to the owner's buffer (caller checked !shared).
@@ -445,55 +448,6 @@ void atexit_write() {
 
 namespace detail {
 
-void add_pack(std::uint64_t slivers, std::uint64_t bytes) {
-  Slot* s = slot();
-  s->counters[kCSliversPacked].fetch_add(slivers, std::memory_order_relaxed);
-  s->counters[kCBytesPacked].fetch_add(bytes, std::memory_order_relaxed);
-}
-
-void add_reuse(std::uint64_t slivers) { add_counter(kCSliversReused, slivers); }
-
-void add_kernel(std::uint64_t calls, std::uint64_t words) {
-  Slot* s = slot();
-  s->counters[kCKernelCalls].fetch_add(calls, std::memory_order_relaxed);
-  s->counters[kCKernelWords].fetch_add(words, std::memory_order_relaxed);
-}
-
-void add_tile() { add_counter(kCTilesEmitted, 1); }
-
-void add_epilogue_rows(std::uint64_t rows) {
-  add_counter(kCEpilogueRows, rows);
-}
-
-void add_task_run() { add_counter(kCTaskRuns, 1); }
-
-void add_steal() { add_counter(kCSteals, 1); }
-
-void add_failed_steal() { add_counter(kCFailedSteals, 1); }
-
-void add_park() { add_counter(kCParks, 1); }
-
-void add_barrier_wait() { add_counter(kCBarrierWaits, 1); }
-
-void add_sparse(std::uint64_t ll_tiles, std::uint64_t ld_tiles,
-                std::uint64_t intersections, std::uint64_t fallback_tiles) {
-  Slot* s = slot();
-  s->counters[kCSparseLlTiles].fetch_add(ll_tiles, std::memory_order_relaxed);
-  s->counters[kCSparseLdTiles].fetch_add(ld_tiles, std::memory_order_relaxed);
-  s->counters[kCListIntersections].fetch_add(intersections,
-                                             std::memory_order_relaxed);
-  s->counters[kCDenseFallbackTiles].fetch_add(fallback_tiles,
-                                              std::memory_order_relaxed);
-}
-
-void add_io_read(std::uint64_t bytes) { add_counter(kCIoBytesRead, bytes); }
-
-void add_prefetch_issued() { add_counter(kCPrefetchIssued, 1); }
-
-void add_prefetch_hit() { add_counter(kCPrefetchHits, 1); }
-
-void add_prefetch_stall() { add_counter(kCPrefetchStalls, 1); }
-
 std::uint64_t queue_stamp() {
   return g_timing.load(std::memory_order_relaxed) ? now_ns() : 0;
 }
@@ -574,33 +528,11 @@ bool timing_enabled() { return g_timing.load(std::memory_order_relaxed); }
 
 TraceSnapshot snapshot() {
   TraceSnapshot out;
+  out.counters = read_counters();
   const std::uint32_t n =
       std::min(g_next_slot.load(std::memory_order_relaxed), kMaxSlots);
   for (std::uint32_t i = 0; i < n; ++i) {
     const Slot& s = g_slots[i];
-    const auto c = [&s](std::size_t which) {
-      return s.counters[which].load(std::memory_order_relaxed);
-    };
-    out.counters.bytes_packed += c(kCBytesPacked);
-    out.counters.slivers_packed += c(kCSliversPacked);
-    out.counters.slivers_reused += c(kCSliversReused);
-    out.counters.kernel_calls += c(kCKernelCalls);
-    out.counters.kernel_words += c(kCKernelWords);
-    out.counters.tiles_emitted += c(kCTilesEmitted);
-    out.counters.epilogue_rows += c(kCEpilogueRows);
-    out.counters.task_runs += c(kCTaskRuns);
-    out.counters.steals += c(kCSteals);
-    out.counters.failed_steals += c(kCFailedSteals);
-    out.counters.parks += c(kCParks);
-    out.counters.barrier_waits += c(kCBarrierWaits);
-    out.counters.sparse_ll_tiles += c(kCSparseLlTiles);
-    out.counters.sparse_ld_tiles += c(kCSparseLdTiles);
-    out.counters.list_intersections += c(kCListIntersections);
-    out.counters.dense_fallback_tiles += c(kCDenseFallbackTiles);
-    out.counters.io_bytes_read += c(kCIoBytesRead);
-    out.counters.prefetch_issued += c(kCPrefetchIssued);
-    out.counters.prefetch_hits += c(kCPrefetchHits);
-    out.counters.prefetch_stalls += c(kCPrefetchStalls);
     for (std::size_t p = 0; p < kPhaseCount; ++p) {
       out.phase_self_ns[p] += s.phase_ns[p].load(std::memory_order_relaxed);
       out.phase_perf[p].cycles +=
@@ -659,7 +591,11 @@ void set_timing_enabled(bool on) { (void)on; }
 
 bool timing_enabled() { return false; }
 
-TraceSnapshot snapshot() { return {}; }
+TraceSnapshot snapshot() {
+  TraceSnapshot out;
+  out.counters = read_counters();
+  return out;
+}
 
 void start_session(const std::string& run_name) {
   LDLA_EXPECT(!run_name.empty(), "trace run name must be non-empty");

@@ -1,31 +1,29 @@
-// Zero-overhead instrumentation for the popcount-GEMM pipeline.
+// Span instrumentation for the popcount-GEMM pipeline.
 //
-// Three layers, all compile-time gated by LDLA_TRACE (CMake option, default
-// ON; the macros below compile to literally nothing when it is OFF, so the
-// hot path of an untraced build is provably unchanged):
+// Compile-time gated by LDLA_TRACE (CMake option, default ON; the span
+// macros below compile to nothing when it is OFF):
 //
-//  1. Phase counters — bytes packed, slivers freshly packed vs reused from a
-//     persistent pack, micro-kernel invocations, popcount words processed,
-//     fused count-tiles emitted, epilogue rows converted, thread-pool tasks
-//     run. Incremented at cache-tile/driver granularity through per-thread
-//     slots (single contention-free cache line per thread) and aggregated
-//     lock-free by snapshot(). Counters are exact: tests assert they equal
-//     the analytic values implied by the GemmPlan blocking.
-//
-//  2. RAII spans — phase-attributed wall-time with parent/child self-time
+//  1. RAII spans — phase-attributed wall-time with parent/child self-time
 //     accounting (a nested span's duration is subtracted from its parent's
 //     phase bucket, so per-phase totals partition wall time instead of
 //     double counting). When a session is active every span is also buffered
 //     as a Chrome-trace/Perfetto event and written to trace_<run>.json.
 //
-//  3. Optional perf-counter attribution — when a session is active and
+//  2. Optional perf-counter attribution — when a session is active and
 //     perf_event_open is permitted (util/perf_counters.hpp), spans read a
 //     per-thread (cycles, instructions, LLC-loads, LLC-misses) group at the
 //     boundaries and attribute the deltas per phase, enabling the
 //     %-of-peak / bytes-per-word roofline table in the trace report.
 //
-// Concurrency contract: counters/phase times may be written from any number
-// of threads concurrently (relaxed atomics, single writer per slot).
+// Event counters (bytes packed, kernel calls, steals, shard I/O, ...) are
+// not stored here: they are metrics-registry Counters
+// (metrics::pipeline(), util/metrics.hpp), independent of LDLA_TRACE.
+// snapshot() reads them back into PhaseCounters so one diff carries both
+// counts and phase times. Counters are exact: tests assert they equal the
+// analytic values implied by the GemmPlan blocking.
+//
+// Concurrency contract: phase times may be written from any number of
+// threads concurrently (relaxed atomics, single writer per slot).
 // snapshot() may race with writers (it reads a consistent-enough relaxed
 // view). session_events() / stop_session_and_write() must be called while
 // instrumented work is quiesced (after the parallel drivers have joined).
@@ -54,8 +52,9 @@ inline constexpr std::size_t kPhaseCount = 9;
 
 const char* phase_name(Phase p);
 
-/// Monotonically-increasing event counters (see the header comment for the
-/// exact increment semantics; tests pin them to analytic values).
+/// Monotonically-increasing event counters, read from the metrics
+/// registry (each field names the registry counter(s) it sums in
+/// trace.cpp; tests pin them to analytic values).
 struct PhaseCounters {
   std::uint64_t bytes_packed = 0;    ///< bytes written into packed slivers
   std::uint64_t slivers_packed = 0;  ///< slivers freshly packed
@@ -65,8 +64,8 @@ struct PhaseCounters {
   std::uint64_t tiles_emitted = 0;   ///< fused CountTiles handed to sinks
   std::uint64_t epilogue_rows = 0;   ///< fused-epilogue stat rows converted
   std::uint64_t task_runs = 0;       ///< thread-pool tasks executed
-  std::uint64_t steals = 0;          ///< deque items taken by a non-owner
-  std::uint64_t failed_steals = 0;   ///< steal probes that found nothing / lost the race
+  std::uint64_t steals = 0;          ///< deque items taken by a non-owner (pool + nest)
+  std::uint64_t failed_steals = 0;   ///< steal probes that found nothing / lost the race (pool + nest)
   std::uint64_t parks = 0;           ///< worker blocks on the idle condition variable
   std::uint64_t barrier_waits = 0;   ///< fork-join caller barriers (pooled run_tasks joins)
   std::uint64_t sparse_ll_tiles = 0;       ///< list×list register-tile kernel calls
@@ -111,7 +110,7 @@ struct TraceEvent {
   std::uint64_t dur_ns = 0;
 };
 
-/// Was the instrumentation compiled in (CMake -DLDLA_TRACE=ON)?
+/// Were spans compiled in (CMake -DLDLA_TRACE=ON)?
 constexpr bool compiled() {
 #if defined(LDLA_TRACE_ENABLED)
   return true;
@@ -121,12 +120,12 @@ constexpr bool compiled() {
 }
 
 /// Runtime gate for span *timing* (clock reads + phase self-time). Counters
-/// stay on whenever the layer is compiled in. Default: enabled.
+/// are unaffected (metrics::set_enabled is their switch). Default: enabled.
 void set_timing_enabled(bool on);
 bool timing_enabled();
 
-/// Lock-free aggregate of every thread's counters and phase times.
-/// All-zero when the layer is compiled out.
+/// Lock-free aggregate of the registry's pipeline counters and every
+/// thread's phase times. Phase times are zero when spans are compiled out.
 TraceSnapshot snapshot();
 
 /// Begin buffering span events (and, when available, per-phase perf-counter
@@ -149,25 +148,6 @@ std::vector<TraceEvent> session_events();
 #if defined(LDLA_TRACE_ENABLED)
 
 namespace detail {
-
-// Hot-path counter sinks: one relaxed fetch_add per field on the calling
-// thread's dedicated slot. Call at cache-tile / driver granularity.
-void add_pack(std::uint64_t slivers, std::uint64_t bytes);
-void add_reuse(std::uint64_t slivers);
-void add_kernel(std::uint64_t calls, std::uint64_t words);
-void add_tile();
-void add_epilogue_rows(std::uint64_t rows);
-void add_task_run();
-void add_steal();
-void add_failed_steal();
-void add_park();
-void add_barrier_wait();
-void add_sparse(std::uint64_t ll_tiles, std::uint64_t ld_tiles,
-                std::uint64_t intersections, std::uint64_t fallback_tiles);
-void add_io_read(std::uint64_t bytes);
-void add_prefetch_issued();
-void add_prefetch_hit();
-void add_prefetch_stall();
 
 // Thread-pool queue-wait measurement: stamp at enqueue (0 when timing is
 // off), account the wait at dequeue.
@@ -194,8 +174,7 @@ class Span {
 }  // namespace ldla::trace
 
 // Instrumentation macros. With LDLA_TRACE off they expand to expressions
-// that evaluate nothing at runtime (the void-casts keep counter-feeding
-// locals from tripping -Wunused-but-set-variable) — zero code is emitted.
+// that evaluate nothing at runtime — zero code is emitted.
 #if defined(LDLA_TRACE_ENABLED)
 
 #define LDLA_TRACE_CONCAT_IMPL(a, b) a##b
@@ -209,29 +188,6 @@ class Span {
 #define LDLA_TRACE_SPAN_EXPR(phase_expr) \
   ::ldla::trace::Span LDLA_TRACE_CONCAT(ldla_trace_span_, __LINE__)(phase_expr)
 
-#define LDLA_TRACE_ADD_PACK(slivers, bytes) \
-  ::ldla::trace::detail::add_pack((slivers), (bytes))
-#define LDLA_TRACE_ADD_REUSE(slivers) \
-  ::ldla::trace::detail::add_reuse((slivers))
-#define LDLA_TRACE_ADD_KERNEL(calls, words) \
-  ::ldla::trace::detail::add_kernel((calls), (words))
-#define LDLA_TRACE_ADD_TILE() ::ldla::trace::detail::add_tile()
-#define LDLA_TRACE_ADD_EPILOGUE_ROWS(rows) \
-  ::ldla::trace::detail::add_epilogue_rows((rows))
-#define LDLA_TRACE_ADD_TASK_RUN() ::ldla::trace::detail::add_task_run()
-#define LDLA_TRACE_ADD_STEAL() ::ldla::trace::detail::add_steal()
-#define LDLA_TRACE_ADD_FAILED_STEAL() ::ldla::trace::detail::add_failed_steal()
-#define LDLA_TRACE_ADD_PARK() ::ldla::trace::detail::add_park()
-#define LDLA_TRACE_ADD_BARRIER_WAIT() ::ldla::trace::detail::add_barrier_wait()
-#define LDLA_TRACE_ADD_SPARSE(ll, ld, inters, fallback) \
-  ::ldla::trace::detail::add_sparse((ll), (ld), (inters), (fallback))
-#define LDLA_TRACE_ADD_IO_READ(bytes) \
-  ::ldla::trace::detail::add_io_read((bytes))
-#define LDLA_TRACE_ADD_PREFETCH_ISSUED() \
-  ::ldla::trace::detail::add_prefetch_issued()
-#define LDLA_TRACE_ADD_PREFETCH_HIT() ::ldla::trace::detail::add_prefetch_hit()
-#define LDLA_TRACE_ADD_PREFETCH_STALL() \
-  ::ldla::trace::detail::add_prefetch_stall()
 #define LDLA_TRACE_QUEUE_STAMP() ::ldla::trace::detail::queue_stamp()
 #define LDLA_TRACE_TASK_DEQUEUED(enqueue_ns) \
   ::ldla::trace::detail::task_dequeued((enqueue_ns))
@@ -240,22 +196,6 @@ class Span {
 
 #define LDLA_TRACE_SPAN(phase) ((void)0)
 #define LDLA_TRACE_SPAN_EXPR(phase_expr) ((void)(phase_expr))
-#define LDLA_TRACE_ADD_PACK(slivers, bytes) ((void)(slivers), (void)(bytes))
-#define LDLA_TRACE_ADD_REUSE(slivers) ((void)(slivers))
-#define LDLA_TRACE_ADD_KERNEL(calls, words) ((void)(calls), (void)(words))
-#define LDLA_TRACE_ADD_TILE() ((void)0)
-#define LDLA_TRACE_ADD_EPILOGUE_ROWS(rows) ((void)(rows))
-#define LDLA_TRACE_ADD_TASK_RUN() ((void)0)
-#define LDLA_TRACE_ADD_STEAL() ((void)0)
-#define LDLA_TRACE_ADD_FAILED_STEAL() ((void)0)
-#define LDLA_TRACE_ADD_PARK() ((void)0)
-#define LDLA_TRACE_ADD_BARRIER_WAIT() ((void)0)
-#define LDLA_TRACE_ADD_SPARSE(ll, ld, inters, fallback) \
-  ((void)(ll), (void)(ld), (void)(inters), (void)(fallback))
-#define LDLA_TRACE_ADD_IO_READ(bytes) ((void)(bytes))
-#define LDLA_TRACE_ADD_PREFETCH_ISSUED() ((void)0)
-#define LDLA_TRACE_ADD_PREFETCH_HIT() ((void)0)
-#define LDLA_TRACE_ADD_PREFETCH_STALL() ((void)0)
 #define LDLA_TRACE_QUEUE_STAMP() (std::uint64_t{0})
 #define LDLA_TRACE_TASK_DEQUEUED(enqueue_ns) ((void)(enqueue_ns))
 

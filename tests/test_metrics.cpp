@@ -1,8 +1,8 @@
 // Tests for the always-on metrics layer (util/metrics.hpp): striped
 // counter aggregation, the runtime enable switch, analytic histogram
 // bucket layout and quantile math, exporter output shape, the background
-// health sampler's lifecycle and probes, and agreement with the trace
-// layer's counters when both are compiled in.
+// health sampler's lifecycle and probes, and the pipeline counters that
+// trace::snapshot() reads back from this registry.
 //
 // The registry is process-global find-or-create storage, so tests reuse
 // fixed names freely — re-registering a name returns the same object.
@@ -12,7 +12,11 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "core/gemm/syrk.hpp"
+#include "core/ld.hpp"
+#include "sim/maf_spectrum.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -53,19 +57,26 @@ TEST(Metrics, DisabledSwitchFreezesEverySinkKind) {
   metrics::Counter& c = metrics::counter("test_frozen_total", "t");
   metrics::Gauge& g = metrics::gauge("test_frozen_gauge", "t");
   Histogram& h = metrics::histogram("test_frozen_seconds", "t");
+  // A pipeline counter, and the trace snapshot field that reads it.
+  metrics::Counter& moved = metrics::pipeline().kernel_words;
   g.set(7.5);
   const std::uint64_t c0 = c.value();
   const std::uint64_t h0 = h.count();
+  const std::uint64_t m0 = moved.value();
+  const std::uint64_t t0 = trace::snapshot().counters.kernel_words;
 
   metrics::set_enabled(false);
   EXPECT_FALSE(metrics::enabled());
   c.add(100);
+  moved.add(100);
   g.set(99.0);
   h.record_ns(1234);
   { metrics::ScopedLatency lat(h); }
   metrics::set_enabled(true);
 
   EXPECT_EQ(c.value(), c0);
+  EXPECT_EQ(moved.value(), m0);
+  EXPECT_EQ(trace::snapshot().counters.kernel_words, t0);
   EXPECT_DOUBLE_EQ(g.value(), 7.5);
   EXPECT_EQ(h.count(), h0);
 }
@@ -263,33 +274,135 @@ TEST(Metrics, ScopedLatencyRecordsOneSample) {
   EXPECT_GE(h.sum_seconds(), 0.0005);
 }
 
-// When both observability layers are compiled, the pool instruments the
-// same event (a task execution) into both — the deltas must agree, and the
-// scrape-time bridge must republish trace totals as ldla_trace_* gauges.
-TEST(Metrics, TraceBridgeAgreesWithPoolCounters) {
-  if (!metrics::compiled() || !trace::compiled()) {
-    GTEST_SKIP() << "needs LDLA_METRICS=ON and LDLA_TRACE=ON";
+// One counter store: every PhaseCounters field of trace::snapshot() is the
+// sum of the registry counters named here, those counters are exported by
+// both renderers, and no ldla_trace_* mirror family exists.
+struct PhaseField {
+  std::uint64_t trace::PhaseCounters::*field;
+  const char* name;
+  std::vector<const char*> counters;
+};
+
+const std::vector<PhaseField>& phase_fields() {
+  using PC = trace::PhaseCounters;
+  static const std::vector<PhaseField> fields = {
+      {&PC::bytes_packed, "bytes_packed", {"ldla_pack_bytes_total"}},
+      {&PC::slivers_packed, "slivers_packed", {"ldla_pack_slivers_total"}},
+      {&PC::slivers_reused, "slivers_reused",
+       {"ldla_pack_slivers_reused_total"}},
+      {&PC::kernel_calls, "kernel_calls", {"ldla_kernel_calls_total"}},
+      {&PC::kernel_words, "kernel_words", {"ldla_kernel_words_total"}},
+      {&PC::tiles_emitted, "tiles_emitted", {"ldla_count_tiles_total"}},
+      {&PC::epilogue_rows, "epilogue_rows", {"ldla_epilogue_rows_total"}},
+      {&PC::task_runs, "task_runs", {"ldla_pool_tasks_total"}},
+      {&PC::steals, "steals",
+       {"ldla_pool_steals_total", "ldla_nest_steals_total"}},
+      {&PC::failed_steals, "failed_steals",
+       {"ldla_pool_failed_steals_total", "ldla_nest_failed_steals_total"}},
+      {&PC::parks, "parks", {"ldla_pool_parks_total"}},
+      {&PC::barrier_waits, "barrier_waits",
+       {"ldla_pool_barrier_waits_total"}},
+      {&PC::sparse_ll_tiles, "sparse_ll_tiles",
+       {"ldla_sparse_ll_tiles_total"}},
+      {&PC::sparse_ld_tiles, "sparse_ld_tiles",
+       {"ldla_sparse_ld_tiles_total"}},
+      {&PC::list_intersections, "list_intersections",
+       {"ldla_sparse_intersections_total"}},
+      {&PC::dense_fallback_tiles, "dense_fallback_tiles",
+       {"ldla_sparse_dense_fallback_tiles_total"}},
+      {&PC::io_bytes_read, "io_bytes_read", {"ldla_shard_io_bytes_total"}},
+      {&PC::prefetch_issued, "prefetch_issued",
+       {"ldla_stream_prefetch_issued_total"}},
+      {&PC::prefetch_hits, "prefetch_hits",
+       {"ldla_stream_prefetch_hits_total"}},
+      {&PC::prefetch_stalls, "prefetch_stalls",
+       {"ldla_stream_prefetch_stalls_total"}},
+  };
+  return fields;
+}
+
+std::vector<std::uint64_t> registry_sums() {
+  std::vector<std::uint64_t> sums;
+  for (const PhaseField& f : phase_fields()) {
+    std::uint64_t sum = 0;
+    for (const char* name : f.counters) {
+      sum += metrics::counter(name, "").value();
+    }
+    sums.push_back(sum);
   }
+  return sums;
+}
+
+// Pool workers may still probe or park after a join, so sample the
+// registry on both sides of the snapshot until it held still.
+std::pair<std::vector<std::uint64_t>, trace::TraceSnapshot> quiet_sample() {
+  for (int attempt = 0;; ++attempt) {
+    const std::vector<std::uint64_t> r0 = registry_sums();
+    const trace::TraceSnapshot s = trace::snapshot();
+    if (registry_sums() == r0 || attempt == 1000) return {r0, s};
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(Metrics, PhaseCountersAreRegistryCounters) {
   metrics::set_enabled(true);
-  metrics::Counter& tasks =
-      metrics::counter("ldla_pool_tasks_total", "thread-pool tasks executed");
-  const std::uint64_t m0 = tasks.value();
-  const std::uint64_t t0 = trace::snapshot().counters.task_runs;
+  (void)metrics::pipeline();  // register first, so the help texts are its
+  // Every mapped name is a pipeline() registration (they carry help text;
+  // a misspelt name would be a fresh, help-less counter).
+  for (const PhaseField& f : phase_fields()) {
+    for (const char* name : f.counters) {
+      EXPECT_STRNE(metrics::counter(name, "").help(), "") << name;
+    }
+  }
 
-  ThreadPool pool(3);
-  pool.run_tasks(32, [](std::size_t) {});
+  // A packed LD scan over a mostly-rare panel (pack, dense and sparse
+  // kernels, epilogue) plus a 4-thread count nest (pool and nest steals).
+  MafSpectrumParams params;
+  params.n_snps = 320;
+  params.n_samples = 600;
+  params.rare_fraction = 0.5;
+  params.rare_max_maf = 0.01;
+  params.seed = 41;
+  const BitMatrix g = simulate_maf_spectrum(params);
+  LdOptions opts;
+  opts.gemm.mc = 64;
+  opts.gemm.nc = 64;
+  opts.gemm.sparse_threshold = kSparseThresholdAuto;
 
-  const std::uint64_t m_delta = tasks.value() - m0;
-  const std::uint64_t t_delta = trace::snapshot().counters.task_runs - t0;
-  EXPECT_EQ(m_delta, 32u);
-  EXPECT_EQ(t_delta, m_delta);
+  const auto [before, t0] = quiet_sample();
+  std::uint64_t tiles = 0;
+  ld_scan(g, [&](const LdTile&) { ++tiles; }, opts);
+  const PackedBitMatrix p(g.view(), resolve_plan(opts.gemm, g.view().n_words),
+                          PackSides::kBoth);
+  syrk_count_fused(p, 0, g.snps(), [](const CountTile&) {}, 4);
+  const auto [after, t1] = quiet_sample();
+  const trace::TraceSnapshot d = t1.since(t0);
 
-  // The bridge runs at scrape time: after a render, the gauge mirrors the
-  // trace layer's lifetime total.
-  (void)metrics::render_prometheus();
-  EXPECT_DOUBLE_EQ(
-      metrics::gauge("ldla_trace_task_runs", "").value(),
-      static_cast<double>(trace::snapshot().counters.task_runs));
+  ASSERT_GT(tiles, 0u);
+  EXPECT_GT(d.counters.bytes_packed, 0u);
+  EXPECT_GT(d.counters.kernel_words, 0u);
+  EXPECT_GT(d.counters.epilogue_rows, 0u);
+  EXPECT_GT(d.counters.sparse_ll_tiles + d.counters.sparse_ld_tiles, 0u);
+  EXPECT_EQ(d.counters.task_runs, 4u);
+  for (std::size_t i = 0; i < phase_fields().size(); ++i) {
+    const PhaseField& f = phase_fields()[i];
+    EXPECT_EQ(d.counters.*f.field, after[i] - before[i]) << f.name;
+  }
+
+  const std::string prom = metrics::render_prometheus();
+  const std::string json = metrics::render_json();
+  for (const PhaseField& f : phase_fields()) {
+    for (const char* name : f.counters) {
+      EXPECT_NE(prom.find(std::string("# TYPE ") + name + " counter"),
+                std::string::npos)
+          << name;
+      EXPECT_NE(json.find(std::string("\"") + name + "\": {"),
+                std::string::npos)
+          << name;
+    }
+  }
+  EXPECT_EQ(prom.find("ldla_trace_"), std::string::npos);
+  EXPECT_EQ(json.find("ldla_trace_"), std::string::npos);
 }
 
 }  // namespace

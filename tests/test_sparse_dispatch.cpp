@@ -412,7 +412,6 @@ TEST_P(SparseDispatch, NestParallelMatchesSequentialHybrid) {
 }
 
 TEST_P(SparseDispatch, TraceCountersAttributeHybridWork) {
-  if (!trace::compiled()) GTEST_SKIP() << "built with LDLA_TRACE=OFF";
   const BitMatrix g = rare_panel(64, 190, 101);
   LdOptions sparse;
   sparse.gemm.arch = GetParam();
