@@ -1,49 +1,16 @@
 #include "omega/omega_stat.hpp"
 
-#include <cmath>
 #include <limits>
+#include <numeric>
 #include <vector>
 
-#include "core/gemm/count_matrix.hpp"
-#include "core/gemm/syrk.hpp"
-#include "core/popcount.hpp"
 #include "util/contract.hpp"
 
 namespace ldla {
 
 namespace {
 
-double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
-
 double pairs2(double k) { return k * (k - 1.0) / 2.0; }
-
-struct PrefixSums {
-  // within[l]  = sum of r2 over pairs (i < j < l)
-  // upper[i]   = sum of r2 over (i, j>i)
-  std::vector<double> within;
-  std::vector<double> prefix_upper;
-};
-
-PrefixSums build_prefix(const LdMatrix& r2) {
-  const std::size_t w = r2.rows();
-  PrefixSums ps;
-  ps.within.assign(w + 1, 0.0);
-  ps.prefix_upper.assign(w + 1, 0.0);
-  std::vector<double> upper(w, 0.0);
-  for (std::size_t i = 0; i < w; ++i) {
-    for (std::size_t j = i + 1; j < w; ++j) {
-      upper[i] += finite_or_zero(r2(i, j));
-    }
-  }
-  // within[l+1] = within[l] + sum_{i<l} r2(i, l)
-  for (std::size_t l = 0; l < w; ++l) {
-    double col = 0.0;
-    for (std::size_t i = 0; i < l; ++i) col += finite_or_zero(r2(i, l));
-    ps.within[l + 1] = ps.within[l] + col;
-    ps.prefix_upper[l + 1] = ps.prefix_upper[l] + upper[l];
-  }
-  return ps;
-}
 
 double omega_from_sums(double sum_l, double sum_r, double cross,
                        std::size_t l, std::size_t w) {
@@ -59,32 +26,35 @@ double omega_from_sums(double sum_l, double sum_r, double cross,
   return numer / denom;
 }
 
+double omega_at(const detail::OmegaPrefix& ps, std::size_t l) {
+  const std::size_t w = ps.within.size() - 1;
+  const double cross = ps.prefix_upper[l] - ps.within[l];
+  const double sum_r = ps.within[w] - ps.within[l] - cross;
+  return omega_from_sums(ps.within[l], sum_r, cross, l, w);
+}
+
+detail::OmegaPrefix prefix_of(const LdMatrix& r2) {
+  LDLA_EXPECT(r2.rows() == r2.cols(), "window matrix must be square");
+  return detail::omega_prefix(
+      r2.rows(), [&r2](std::size_t i, std::size_t j) { return r2(i, j); });
+}
+
 }  // namespace
 
 double omega_at_split(const LdMatrix& r2, std::size_t l) {
-  const std::size_t w = r2.rows();
-  LDLA_EXPECT(r2.rows() == r2.cols(), "window matrix must be square");
-  LDLA_EXPECT(l >= 1 && l < w, "split must leave both groups non-empty");
-  const PrefixSums ps = build_prefix(r2);
-  const double sum_l = ps.within[l];
-  const double total = ps.within[w];
-  const double cross = ps.prefix_upper[l] - ps.within[l];
-  const double sum_r = total - sum_l - cross;
-  return omega_from_sums(sum_l, sum_r, cross, l, w);
+  LDLA_EXPECT(l >= 1 && l < r2.rows(),
+              "split must leave both groups non-empty");
+  return omega_at(prefix_of(r2), l);
 }
 
 OmegaMax omega_max(const LdMatrix& r2) {
-  const std::size_t w = r2.rows();
-  LDLA_EXPECT(r2.rows() == r2.cols(), "window matrix must be square");
+  return detail::omega_max_from_prefix(prefix_of(r2));
+}
+
+OmegaMax detail::omega_max_from_prefix(const OmegaPrefix& ps) {
   OmegaMax best;
-  if (w < 2) return best;
-  const PrefixSums ps = build_prefix(r2);
-  const double total = ps.within[w];
-  for (std::size_t l = 1; l < w; ++l) {
-    const double sum_l = ps.within[l];
-    const double cross = ps.prefix_upper[l] - ps.within[l];
-    const double sum_r = total - sum_l - cross;
-    const double omega = omega_from_sums(sum_l, sum_r, cross, l, w);
+  for (std::size_t l = 1; l + 1 < ps.within.size(); ++l) {
+    const double omega = omega_at(ps, l);
     if (omega > best.omega) {
       best.omega = omega;
       best.split = l;
@@ -97,24 +67,12 @@ LdMatrix window_r2(const BitMatrix& g, std::size_t snp_begin,
                    std::size_t snp_end, const GemmConfig& cfg) {
   LDLA_EXPECT(snp_begin <= snp_end && snp_end <= g.snps(),
               "window out of range");
-  const std::size_t w = snp_end - snp_begin;
-  LdMatrix out(w, w);
-  if (w == 0) return out;
-
-  const BitMatrixView view = g.view(snp_begin, snp_end);
-  CountMatrix counts(w, w);
-  syrk_count(view, counts.ref(), cfg);
-
-  std::vector<std::uint64_t> ci(w);
-  for (std::size_t s = 0; s < w; ++s) {
-    ci[s] = popcount_words({view.row(s), view.n_words});
-  }
-  for (std::size_t i = 0; i < w; ++i) {
-    for (std::size_t j = 0; j < w; ++j) {
-      out(i, j) = ld_r_squared(ci[i], ci[j], counts(i, j), g.samples());
-    }
-  }
-  return out;
+  if (snp_begin == snp_end) return LdMatrix(0, 0);
+  std::vector<std::size_t> rows(snp_end - snp_begin);
+  std::iota(rows.begin(), rows.end(), snp_begin);
+  LdOptions opts;
+  opts.gemm = cfg;
+  return ld_matrix(g.gather_rows(rows), opts);
 }
 
 }  // namespace ldla

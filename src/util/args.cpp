@@ -92,6 +92,15 @@ std::int64_t ArgParser::integer(const std::string& name) const {
   }
 }
 
+std::size_t ArgParser::count(const std::string& name) const {
+  const std::int64_t v = integer(name);
+  if (v < 0) {
+    throw Error("option --" + name + " must not be negative, got " +
+                std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 double ArgParser::real(const std::string& name) const {
   const std::string v = str(name);
   try {

@@ -4,6 +4,7 @@
 // positional arguments; unknown options raise an error listing valid names.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -28,6 +29,9 @@ class ArgParser {
   [[nodiscard]] bool flag(const std::string& name) const;
   [[nodiscard]] std::string str(const std::string& name) const;
   [[nodiscard]] std::int64_t integer(const std::string& name) const;
+  /// Non-negative integer (a size or count); throws ldla::Error on a
+  /// negative value instead of letting it wrap to a huge size_t.
+  [[nodiscard]] std::size_t count(const std::string& name) const;
   [[nodiscard]] double real(const std::string& name) const;
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

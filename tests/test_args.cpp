@@ -78,6 +78,19 @@ TEST(ArgParser, RejectsNonNumericInteger) {
   EXPECT_THROW((void)p.integer("snps"), Error);
 }
 
+TEST(ArgParser, CountRejectsNegativeValues) {
+  ArgParser p = make_parser();
+  const char* argv[] = {"prog", "--snps", "-1"};
+  ASSERT_TRUE(p.parse(3, argv));
+  EXPECT_EQ(p.integer("snps"), -1);
+  EXPECT_THROW((void)p.count("snps"), Error);
+
+  ArgParser q = make_parser();
+  const char* ok[] = {"prog", "--snps=0"};
+  ASSERT_TRUE(q.parse(2, ok));
+  EXPECT_EQ(q.count("snps"), 0u);
+}
+
 TEST(ArgParser, HelpShortCircuits) {
   ArgParser p = make_parser();
   const char* argv[] = {"prog", "--help"};

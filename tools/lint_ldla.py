@@ -309,9 +309,13 @@ PUBLIC_API = {
     "src/core/higher_order.cpp": [("third_order_d", "expect")],
     "src/omega/omega_stat.cpp": [
         ("omega_at_split", "expect"),
+        ("omega_max", "expect"),
         ("window_r2", "expect"),
     ],
-    "src/omega/sweep_scan.cpp": [("omega_scan", "expect")],
+    "src/omega/sweep_scan.cpp": [
+        ("omega_scan", "expect"),
+        ("omega_scan_parallel", "expect"),
+    ],
     "src/util/partition.cpp": [
         ("split_uniform", "expect"),
         ("split_triangle_rows", "expect"),
