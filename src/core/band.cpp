@@ -43,16 +43,11 @@ void ld_band_scan(const BitMatrix& g, std::size_t bandwidth,
   AlignedBuffer<double> values(max_rows * max_cols);
   for (std::size_t r0 = 0; r0 < n; r0 += slab) {
     const std::size_t rows = std::min(slab, n - r0);
-    const std::size_t col_begin = r0 > bandwidth ? r0 - bandwidth : 0;
-    const std::size_t col_end = r0 + rows;
-    const std::size_t cols = col_end - col_begin;
-    gemm_count_fused(
-        packed, r0, r0 + rows, packed, col_begin, col_end,
-        detail::stat_tile_sink(opts.stat, tables, tables,
-                               /*lower_only=*/false, values.data(), r0,
-                               col_begin, cols),
-        team);
-    visit(LdTile{r0, col_begin, rows, cols, values.data(), cols});
+    const std::size_t col_begin =
+        detail::band_slab(packed, opts.stat, tables, /*lower_only=*/false, 0,
+                          r0, rows, bandwidth, values.data(), max_cols, team);
+    visit(LdTile{r0, col_begin, rows, r0 + rows - col_begin, values.data(),
+                 max_cols});
   }
 }
 

@@ -145,4 +145,30 @@ inline CountTileSink stat_tile_sink(LdStatistic stat, const StatTables& ta,
   };
 }
 
+/// First column of a band slab starting at row r0: `bandwidth` rows back,
+/// but not before `lo`, the first SNP of the band pass.
+inline std::size_t band_col_begin(std::size_t lo, std::size_t r0,
+                                  std::size_t bandwidth) {
+  return r0 - std::min(bandwidth, r0 - lo);
+}
+
+/// One slab step of a band pass, shared by ld_band_scan and the ω ring:
+/// statistics of rows [r0, r0 + rows) against columns
+/// [band_col_begin(lo, r0, bandwidth), r0 + rows) through one count nest,
+/// stored as stat_tile_sink does with row0 = r0, col0 = that first column,
+/// which is returned.
+inline std::size_t band_slab(const PackedBitMatrix& packed,
+                             LdStatistic stat, const StatTables& tables,
+                             bool lower_only, std::size_t lo, std::size_t r0,
+                             std::size_t rows, std::size_t bandwidth,
+                             double* dst, std::size_t ld,
+                             unsigned threads = 1) {
+  const std::size_t col_begin = band_col_begin(lo, r0, bandwidth);
+  gemm_count_fused(packed, r0, r0 + rows, packed, col_begin, r0 + rows,
+                   stat_tile_sink(stat, tables, tables, lower_only, dst, r0,
+                                  col_begin, ld),
+                   threads);
+  return col_begin;
+}
+
 }  // namespace ldla::detail
