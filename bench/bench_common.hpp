@@ -404,8 +404,9 @@ inline LdScanTiming time_gemm_ld_scan(const BitMatrix& g, unsigned threads,
   LdOptions opts;
   opts.stat = LdStatistic::kRSquared;
   opts.gemm = cfg;
+  opts.threads = threads;
   Timer timer;
-  ld_scan_parallel(
+  ld_scan(
       g,
       [&](const LdTile& tile) {
         double local = 0.0;
@@ -423,7 +424,7 @@ inline LdScanTiming time_gemm_ld_scan(const BitMatrix& g, unsigned threads,
         out.sum += local;
         out.pairs += local_pairs;
       },
-      opts, threads);
+      opts);
   out.seconds = timer.seconds();
   return out;
 }

@@ -55,7 +55,9 @@ int main(int argc, char** argv) try {
   std::printf("\n");
 
   ldla::Timer timer;
-  const ldla::LdMatrix ld = ldla::ld_cross_matrix_parallel(region_a, region_b);
+  ldla::LdOptions opts;
+  opts.threads = 0;  // all cores
+  const ldla::LdMatrix ld = ldla::ld_cross_matrix(region_a, region_b, opts);
   const double seconds = timer.seconds();
   std::printf(
       "cross-region GEMM: %zu x %zu = %zu LD values over %zu samples "

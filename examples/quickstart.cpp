@@ -57,13 +57,13 @@ int main(int argc, char** argv) try {
 
   ldla::LdOptions opts;
   opts.stat = parse_stat(args.str("stat"));
-  const auto threads = static_cast<unsigned>(args.integer("threads"));
+  opts.threads = static_cast<unsigned>(args.integer("threads"));
 
   // The ranked list streams out of the GEMM through a top-k sink; no n x n
   // matrix is built.
   ldla::Timer timer;
   const auto top = ldla::ld_top_pairs(
-      genotypes, static_cast<std::size_t>(args.integer("top")), opts, threads);
+      genotypes, static_cast<std::size_t>(args.integer("top")), opts);
   const double seconds = timer.seconds();
 
   const std::uint64_t pairs = ldla::ld_pair_count(genotypes.snps());

@@ -13,6 +13,7 @@ namespace ldla {
 
 void ld_band_scan(const BitMatrix& g, std::size_t bandwidth,
                   const LdTileVisitor& visit, const BandOptions& opts) {
+  LDLA_EXPECT(visit != nullptr, "banded scan needs a visitor");
   const std::size_t n = g.snps();
   if (n == 0) return;
   LDLA_EXPECT(g.samples() > 0, "matrix has no samples");

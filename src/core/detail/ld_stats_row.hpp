@@ -15,7 +15,9 @@
 
 #include "core/bit_matrix.hpp"
 #include "core/gemm/macro.hpp"
+#include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
+#include "util/aligned_buffer.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -140,6 +142,90 @@ inline CountTileSink stat_tile_sink(LdStatistic stat, const StatTables& ta,
       stat_row_cross_shifted(stat, ta, gi, tb, t.col_begin, t.row(i), cols,
                              dst + (gi - row0) * ld + (t.col_begin - col0));
       ++rows_converted;
+    }
+    metrics::pipeline().epilogue_rows.add(rows_converted);
+  };
+}
+
+/// The count nest of one block: rows [a_begin, a_end) of `a` against rows
+/// [b_begin, b_end) of `b`. A symmetric block (`a` == `b` over the same
+/// range) runs the triangular SYRK nest, whose tiles specify only the
+/// canonical entries (col <= row), so its sinks clip to them; a cross
+/// block runs the rectangular GEMM nest.
+inline void count_tiles(const PackedBitMatrix& a, std::size_t a_begin,
+                        std::size_t a_end, const PackedBitMatrix& b,
+                        std::size_t b_begin, std::size_t b_end, bool symmetric,
+                        const CountTileSink& sink, unsigned threads) {
+  if (symmetric) {
+    syrk_count_fused(a, a_begin, a_end, sink, threads);
+  } else {
+    gemm_count_fused(a, a_begin, a_end, b, b_begin, b_end, sink, threads);
+  }
+}
+
+/// Where a stat-tile emitter converts a tile: one buffer when the nest runs
+/// a team of one, a per-thread buffer when tiles arrive concurrently (grown
+/// once to `n` doubles, then reused for the life of the thread).
+class TileScratch {
+ public:
+  TileScratch(std::size_t n, unsigned threads)
+      : n_(n), team_(threads != 1), own_(team_ ? 0 : n) {}
+
+  [[nodiscard]] double* get() {
+    if (!team_) return own_.data();
+    thread_local AlignedBuffer<double> buf;
+    if (buf.size() < n_) buf = AlignedBuffer<double>(n_);
+    return buf.data();
+  }
+
+ private:
+  std::size_t n_;
+  bool team_;
+  AlignedBuffer<double> own_;
+};
+
+/// Stat-tile emitter of the tile-geometry drivers (ld_stat_scan,
+/// ld_cross_stat_scan and the shard streams): each count tile of a block
+/// whose rows start at SNP `row_base` of `ta` and whose columns start at
+/// SNP `col_base` of `tb` is converted in `scratch` and handed to `visit`
+/// as an LdTile in those global indices. A symmetric block (the diagonal,
+/// row_base == col_base) passes tiles on or below the diagonal whole and
+/// emits diagonal-crossing tiles as canonical per-row fragments, so no
+/// above-diagonal entry ever escapes.
+inline CountTileSink stat_tile_emitter(LdStatistic stat, const StatTables& ta,
+                                       std::size_t row_base,
+                                       const StatTables& tb,
+                                       std::size_t col_base, bool symmetric,
+                                       TileScratch& scratch,
+                                       const LdStatTileVisitor& visit) {
+  return [=, &ta, &tb, &scratch, &visit](const CountTile& t) {
+    double* values = scratch.get();
+    const std::size_t c0 = col_base + t.col_begin;
+    if (!symmetric || t.col_begin + t.cols <= t.row_begin + 1) {
+      const std::size_t r0 = row_base + t.row_begin;
+      {
+        LDLA_TRACE_SPAN(kEpilogue);
+        for (std::size_t i = 0; i < t.rows; ++i) {
+          stat_row_cross_shifted(stat, ta, r0 + i, tb, c0, t.row(i), t.cols,
+                                 &values[i * t.cols]);
+        }
+        metrics::pipeline().epilogue_rows.add(t.rows);
+      }
+      visit(LdTile{r0, c0, t.rows, t.cols, values, t.cols});
+      return;
+    }
+    // The span covers the interleaved visits too — fragment rows are tiny.
+    LDLA_TRACE_SPAN(kEpilogue);
+    std::uint64_t rows_converted = 0;
+    for (std::size_t i = 0; i < t.rows; ++i) {
+      const std::size_t li = t.row_begin + i;
+      if (li < t.col_begin) continue;
+      const std::size_t width =
+          std::min(t.col_begin + t.cols, li + 1) - t.col_begin;
+      stat_row_cross_shifted(stat, ta, row_base + li, tb, c0, t.row(i), width,
+                             values);
+      ++rows_converted;
+      visit(LdTile{row_base + li, c0, 1, width, values, width});
     }
     metrics::pipeline().epilogue_rows.add(rows_converted);
   };

@@ -3,37 +3,15 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/detail/mirror.hpp"
 #include "core/gemm/macro.hpp"
 #include "util/contract.hpp"
-#include "util/trace.hpp"
 
 namespace ldla {
 
 void mirror_lower_to_upper(CountMatrixRef c, std::size_t n) {
   LDLA_EXPECT(c.rows >= n && c.cols >= n, "matrix is too small to mirror");
-  LDLA_TRACE_SPAN(kMirror);
-  // Block so the source rows (unit stride) and destination rows (the
-  // transposed block) both stay cache-resident: 64 x 64 x 4 B = 16 KiB of
-  // destination lines, far under L1+L2 even with the source streaming.
-  constexpr std::size_t kBlock = 64;
-  for (std::size_t jb = 0; jb < n; jb += kBlock) {
-    const std::size_t j_end = std::min(jb + kBlock, n);
-    // Diagonal block: the triangle within the block.
-    for (std::size_t i = jb; i < j_end; ++i) {
-      for (std::size_t j = i + 1; j < j_end; ++j) {
-        c.at(i, j) = c.at(j, i);
-      }
-    }
-    // Full blocks below the diagonal block mirror to above it.
-    for (std::size_t ib = j_end; ib < n; ib += kBlock) {
-      const std::size_t i_end = std::min(ib + kBlock, n);
-      for (std::size_t i = ib; i < i_end; ++i) {
-        for (std::size_t j = jb; j < j_end; ++j) {
-          c.at(j, i) = c.at(i, j);
-        }
-      }
-    }
-  }
+  detail::mirror_lower_to_upper_blocked(c.data, c.ld, n);
 }
 
 void syrk_count_packed(const PackedBitMatrix& a, std::size_t row_begin,

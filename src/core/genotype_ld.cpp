@@ -88,6 +88,7 @@ LdMatrix genotype_ld_matrix(const GenotypeMatrix& g, const GemmConfig& cfg) {
 
 void genotype_ld_scan(const GenotypeMatrix& g, const LdTileVisitor& visit,
                       const GemmConfig& cfg, std::size_t slab_rows) {
+  LDLA_EXPECT(visit != nullptr, "genotype scan needs a visitor");
   const std::size_t n = g.snps();
   if (n == 0) return;
   LDLA_EXPECT(g.individuals() > 1, "need at least two individuals");

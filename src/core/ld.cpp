@@ -7,10 +7,9 @@
 #include <vector>
 
 #include "core/detail/ld_stats_row.hpp"
+#include "core/detail/mirror.hpp"
 #include "core/detail/top_pairs.hpp"
 #include "core/gemm/macro.hpp"
-#include "core/gemm/syrk.hpp"
-#include "core/parallel.hpp"
 #include "util/contract.hpp"
 #include "util/metrics.hpp"
 #include "util/sync.hpp"
@@ -92,157 +91,156 @@ double ld_value(LdStatistic stat, std::uint64_t ci, std::uint64_t cj,
 }
 
 void mirror_ld_lower_to_upper(LdMatrix& m) {
-  const std::size_t n = m.rows();
-  LDLA_EXPECT(m.cols() == n, "mirror needs a square matrix");
-  LDLA_TRACE_SPAN(kMirror);
-  // Cache-blocked transpose copy (same shape as mirror_lower_to_upper for
-  // counts): 64 x 64 x 8 B destination blocks stay resident.
-  constexpr std::size_t kBlock = 64;
-  for (std::size_t jb = 0; jb < n; jb += kBlock) {
-    const std::size_t j_end = std::min(jb + kBlock, n);
-    for (std::size_t i = jb; i < j_end; ++i) {
-      for (std::size_t j = i + 1; j < j_end; ++j) {
-        m(i, j) = m(j, i);
-      }
-    }
-    for (std::size_t ib = j_end; ib < n; ib += kBlock) {
-      const std::size_t i_end = std::min(ib + kBlock, n);
-      for (std::size_t i = ib; i < i_end; ++i) {
-        for (std::size_t j = jb; j < j_end; ++j) {
-          m(j, i) = m(i, j);
-        }
-      }
-    }
-  }
+  LDLA_EXPECT(m.cols() == m.rows(), "mirror needs a square matrix");
+  detail::mirror_lower_to_upper_blocked(m.data(), m.cols(), m.rows());
 }
 
 namespace {
 
-// One body per driver shape, shared by the sequential entry point (a team
-// of one) and its *_parallel twin. Every body packs once — the caller's
-// pack or its own — and converts counts to statistics in the fused tile
-// sink; the count nest runs a team of one inline.
+// One body per output — dense matrix, slab scan, stat-tile scan, top-k —
+// each serving both shapes over one operand setup. A sequential call is a
+// team of one: LdOptions::threads sizes the count nest's team.
 
-unsigned resolve_threads(unsigned threads) {
-  return threads == 0 ? default_thread_count() : threads;
-}
+/// The operands of one call. Symmetric: `g` against itself, one pack with
+/// both sides and one stat table. Cross: rows of `a` against rows of `b`,
+/// an A pack, a B pack and a table each. Either pack may be the caller's
+/// (LdOptions::packed / packed_b). Empty operands are neither packed nor
+/// tabled. Built by operands(), which validates them first.
+class Operands {
+ public:
+  Operands(const BitMatrix& a, const BitMatrix& b, bool symmetric,
+           const LdOptions& opts, bool empty)
+      : symmetric_(symmetric),
+        empty_(empty),
+        rows_(a.snps()),
+        cols_(b.snps()),
+        threads_(opts.threads == 0 ? default_thread_count() : opts.threads) {
+    if (empty_) return;
+    pa_ = &resolve_packed(a.view(), opts.gemm, opts.packed,
+                          symmetric_ ? PackSides::kBoth : PackSides::kA,
+                          own_a_, threads_);
+    ta_ = detail::make_stat_tables(a);
+    if (symmetric_) {
+      pb_ = pa_;
+    } else {
+      pb_ = &resolve_packed(b.view(), opts.gemm, opts.packed_b, PackSides::kB,
+                            own_b_, threads_);
+      tb_ = detail::make_stat_tables(b);
+    }
+  }
+  Operands(const Operands&) = delete;
+  Operands& operator=(const Operands&) = delete;
 
-// Triangular SYRK over the whole matrix: each tile writes only canonical
-// (j <= i) entries of its disjoint window of `out`, then one mirror pass
-// fills the upper triangle. All three statistics are bitwise symmetric in
-// (i, j) (their formulas only combine the operands through commutative
-// products and min), so the mirror equals computing the upper triangle.
-LdMatrix matrix_body(const BitMatrix& g, const LdOptions& opts,
-                     unsigned threads) {
-  const std::size_t n = g.snps();
-  LdMatrix out(n, n);
-  if (n == 0) return out;
-  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
-  std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix& packed = resolve_packed(
-      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, threads);
-  const detail::StatTables tables = detail::make_stat_tables(g);
-  syrk_count_fused(
-      packed, 0, n,
-      detail::stat_tile_sink(opts.stat, tables, tables, /*lower_only=*/true,
-                             out.data(), 0, 0, n),
-      threads);
-  mirror_ld_lower_to_upper(out);
-  return out;
-}
+  [[nodiscard]] bool symmetric() const { return symmetric_; }
+  [[nodiscard]] bool empty() const { return empty_; }
+  [[nodiscard]] std::size_t rows() const { return rows_; }
+  [[nodiscard]] std::size_t cols() const { return cols_; }
+  [[nodiscard]] unsigned threads() const { return threads_; }
+  [[nodiscard]] const GemmPlan& plan() const { return pa_->plan(); }
+  [[nodiscard]] const detail::StatTables& ta() const { return ta_; }
+  [[nodiscard]] const detail::StatTables& tb() const {
+    return symmetric_ ? ta_ : tb_;
+  }
 
-// One GEMM over the whole m x n problem: stats land straight in `out` from
-// hot tiles; no m x n count matrix is ever allocated.
-LdMatrix cross_matrix_body(const BitMatrix& a, const BitMatrix& b,
-                           const LdOptions& opts, unsigned threads) {
+  /// Every pair through the shape's count nest: the lower triangle
+  /// (symmetric; sinks clip to canonical entries) or the full rectangle.
+  void count(const CountTileSink& sink) const {
+    detail::count_tiles(*pa_, 0, rows_, *pb_, 0, cols_, symmetric_, sink,
+                        threads_);
+  }
+
+  /// Rows [r0, r1) against columns [0, slab_cols(r1)) through the GEMM nest.
+  void count_slab(std::size_t r0, std::size_t r1,
+                  const CountTileSink& sink) const {
+    gemm_count_fused(*pa_, r0, r1, *pb_, 0, slab_cols(r1), sink, threads_);
+  }
+
+  /// Column extent of the slab ending at row r1: the lower trapezoid
+  /// [0, r1) when symmetric, all of `b` when cross.
+  [[nodiscard]] std::size_t slab_cols(std::size_t r1) const {
+    return symmetric_ ? r1 : cols_;
+  }
+
+ private:
+  bool symmetric_;
+  bool empty_;
+  std::size_t rows_;
+  std::size_t cols_;
+  unsigned threads_;
+  std::optional<PackedBitMatrix> own_a_;
+  std::optional<PackedBitMatrix> own_b_;
+  const PackedBitMatrix* pa_ = nullptr;
+  const PackedBitMatrix* pb_ = nullptr;
+  detail::StatTables ta_;
+  detail::StatTables tb_;
+};
+
+/// Validate the operands of one call and set them up. They are empty when
+/// either side has no SNPs or the caller needs no pairs (`need` false).
+Operands operands(const BitMatrix& a, const BitMatrix& b, bool symmetric,
+                  const LdOptions& opts, bool need = true) {
   LDLA_EXPECT(a.samples() == b.samples(),
               "cross-matrix LD needs matching sample sets");
-  const std::size_t m = a.snps();
-  const std::size_t n = b.snps();
-  LdMatrix out(m, n);
-  if (m == 0 || n == 0) return out;
-  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
-  std::optional<PackedBitMatrix> own_a;
-  std::optional<PackedBitMatrix> own_b;
-  const PackedBitMatrix& pa = resolve_packed(
-      a.view(), opts.gemm, opts.packed, PackSides::kA, own_a, threads);
-  const PackedBitMatrix& pb = resolve_packed(
-      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, threads);
-  const detail::StatTables ta = detail::make_stat_tables(a);
-  const detail::StatTables tb = detail::make_stat_tables(b);
-  gemm_count_fused(
-      pa, 0, m, pb, 0, n,
-      detail::stat_tile_sink(opts.stat, ta, tb, /*lower_only=*/false,
-                             out.data(), 0, 0, n),
-      threads);
+  const bool empty = !need || a.snps() == 0 || b.snps() == 0;
+  LDLA_EXPECT(empty || a.samples() > 0, "matrix has no samples");
+  return Operands(a, b, symmetric, opts, empty);
+}
+
+// Symmetric: the triangular SYRK writes only canonical (j <= i) entries of
+// each tile's disjoint window of `out`, then one mirror pass fills the upper
+// triangle. All three statistics are bitwise symmetric in (i, j) (their
+// formulas only combine the operands through commutative products and min),
+// so the mirror equals computing the upper triangle. Cross: stats land in
+// `out` straight from hot tiles. No count matrix is ever allocated.
+LdMatrix matrix_body(const Operands& ops, const LdOptions& opts) {
+  LdMatrix out(ops.rows(), ops.cols());
+  if (ops.empty()) return out;
+  ops.count(detail::stat_tile_sink(opts.stat, ops.ta(), ops.tb(),
+                                   /*lower_only=*/ops.symmetric(), out.data(),
+                                   0, 0, ops.cols()));
+  if (ops.symmetric()) mirror_ld_lower_to_upper(out);
   return out;
 }
 
-// Trapezoid slabs: rows [r0, r1) against columns [0, r1). The slab's count
+// Row slabs [r0, r1) against columns [0, slab_cols(r1)). The slab's count
 // tiles become statistics in the values slab (the tile payload itself), and
 // `visit` fires from the calling thread once the slab's nest has joined.
-void scan_body(const BitMatrix& g, const LdTileVisitor& visit,
-               const LdOptions& opts, unsigned threads) {
-  const std::size_t n = g.snps();
-  if (n == 0) return;
-  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
-  LDLA_EXPECT(opts.slab_rows > 0, "slab height must be positive");
-  std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix& packed = resolve_packed(
-      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, threads);
-  const detail::StatTables tables = detail::make_stat_tables(g);
+void scan_body(const Operands& ops, const LdTileVisitor& visit,
+               const LdOptions& opts) {
+  if (ops.empty()) return;
   const std::size_t slab = opts.slab_rows;
-  AlignedBuffer<double> values(std::min(slab, n) * n);
-  for (std::size_t r0 = 0; r0 < n; r0 += slab) {
-    const std::size_t rows = std::min(slab, n - r0);
-    const std::size_t cols = r0 + rows;  // lower-trapezoid: j < slab end
-    gemm_count_fused(
-        packed, r0, r0 + rows, packed, 0, cols,
-        detail::stat_tile_sink(opts.stat, tables, tables,
-                               /*lower_only=*/false, values.data(), r0, 0,
-                               cols),
-        threads);
-    visit(LdTile{r0, 0, rows, cols, values.data(), cols});
+  AlignedBuffer<double> values(std::min(slab, ops.rows()) * ops.cols());
+  for (std::size_t r0 = 0; r0 < ops.rows(); r0 += slab) {
+    const std::size_t r1 = r0 + std::min(slab, ops.rows() - r0);
+    const std::size_t cols = ops.slab_cols(r1);
+    ops.count_slab(r0, r1,
+                   detail::stat_tile_sink(opts.stat, ops.ta(), ops.tb(),
+                                          /*lower_only=*/false, values.data(),
+                                          r0, 0, cols));
+    visit(LdTile{r0, 0, r1 - r0, cols, values.data(), cols});
   }
 }
 
-// Row slabs of `a` against all of `b`, emitted like scan_body's.
-void cross_scan_body(const BitMatrix& a, const BitMatrix& b,
-                     const LdTileVisitor& visit, const LdOptions& opts,
-                     unsigned threads) {
-  LDLA_EXPECT(a.samples() == b.samples(),
-              "cross-matrix LD needs matching sample sets");
-  const std::size_t m = a.snps();
-  const std::size_t n = b.snps();
-  if (m == 0 || n == 0) return;
-  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
-  LDLA_EXPECT(opts.slab_rows > 0, "slab height must be positive");
-  std::optional<PackedBitMatrix> own_a;
-  std::optional<PackedBitMatrix> own_b;
-  const PackedBitMatrix& pa = resolve_packed(
-      a.view(), opts.gemm, opts.packed, PackSides::kA, own_a, threads);
-  const PackedBitMatrix& pb = resolve_packed(
-      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, threads);
-  const detail::StatTables ta = detail::make_stat_tables(a);
-  const detail::StatTables tb = detail::make_stat_tables(b);
-  const std::size_t slab = opts.slab_rows;
-  AlignedBuffer<double> values(std::min(slab, m) * n);
-  for (std::size_t r0 = 0; r0 < m; r0 += slab) {
-    const std::size_t rows = std::min(slab, m - r0);
-    gemm_count_fused(
-        pa, r0, r0 + rows, pb, 0, n,
-        detail::stat_tile_sink(opts.stat, ta, tb, /*lower_only=*/false,
-                               values.data(), r0, 0, n),
-        threads);
-    visit(LdTile{r0, 0, rows, n, values.data(), n});
-  }
+// Stat tiles straight from the fused epilogue through the stat-tile emitter
+// (canonical fragments on the symmetric diagonal), O(mc·nc) resident. The
+// scratch is sized from the clamped tile extent: without blocking, mc and
+// nc are effectively unbounded and their product would wrap.
+void stat_scan_body(const Operands& ops, const LdStatTileVisitor& visit,
+                    const LdOptions& opts) {
+  if (ops.empty()) return;
+  const GemmPlan& plan = ops.plan();
+  detail::TileScratch scratch(
+      std::min(plan.mc, ops.rows()) * std::min(plan.nc, ops.cols()),
+      ops.threads());
+  ops.count(detail::stat_tile_emitter(opts.stat, ops.ta(), 0, ops.tb(), 0,
+                                      ops.symmetric(), scratch, visit));
 }
 
-// Top-k pairs (DESIGN.md §4.9): each count tile is converted one canonical
-// row at a time and offered to a tile-local bounded selector, whose
-// survivors merge into one shared selector under a lock. Nothing of size
-// n² (or m·n) is held: the packs, the nest's per-member count scratch, one
-// row buffer and k pairs per tile in flight, and the k shared pairs.
+// Top-k pairs (DESIGN.md §4.9): each count tile is converted one row at a
+// time and offered to a tile-local bounded selector, whose survivors merge
+// into one shared selector under a lock. Nothing of size n² (or m·n) is
+// held: the packs, the nest's per-member count scratch, one row buffer and
+// k pairs per tile in flight, and the k shared pairs.
 
 /// The selector every tile merges into; team members call merge()
 /// concurrently.
@@ -266,13 +264,16 @@ class SharedTopPairs {
   detail::TopPairSelector top_ LDLA_GUARDED_BY(mu_);
 };
 
-/// Count tiles of `ta` rows against `tb` columns → statistics → top-k.
-/// With `strict_lower` (the symmetric drivers) only pairs j < i are read:
-/// the diagonal and the nest's above-diagonal slack never are.
-CountTileSink top_pairs_sink(LdStatistic stat, const detail::StatTables& ta,
-                             const detail::StatTables& tb, bool strict_lower,
-                             std::size_t k, SharedTopPairs& shared) {
-  return [=, &ta, &tb, &shared](const CountTile& t) {
+// Symmetric operands read only pairs j < i: the diagonal and the nest's
+// above-diagonal slack never are.
+std::vector<RankedPair> top_pairs_body(const Operands& ops, std::size_t k,
+                                       LdStatistic stat) {
+  if (ops.empty()) return {};
+  SharedTopPairs shared(k);
+  const bool strict_lower = ops.symmetric();
+  const detail::StatTables& ta = ops.ta();
+  const detail::StatTables& tb = ops.tb();
+  ops.count([&](const CountTile& t) {
     LDLA_TRACE_SPAN(kEpilogue);
     std::vector<double> row(t.cols);
     detail::TopPairSelector tile(k);
@@ -291,7 +292,8 @@ CountTileSink top_pairs_sink(LdStatistic stat, const detail::StatTables& ta,
     }
     metrics::pipeline().epilogue_rows.add(rows_converted);
     shared.merge(tile);
-  };
+  });
+  return shared.take();
 }
 
 }  // namespace
@@ -300,16 +302,7 @@ LdMatrix ld_matrix(const BitMatrix& g, const LdOptions& opts) {
   static metrics::Histogram& h_call = metrics::histogram(
       "ldla_ld_matrix_seconds", "ld_matrix driver call latency");
   metrics::ScopedLatency metrics_lat(h_call);
-  return matrix_body(g, opts, 1);
-}
-
-LdMatrix ld_matrix_parallel(const BitMatrix& g, const LdOptions& opts,
-                            unsigned threads) {
-  static metrics::Histogram& h_call = metrics::histogram(
-      "ldla_ld_matrix_parallel_seconds",
-      "ld_matrix_parallel driver call latency");
-  metrics::ScopedLatency metrics_lat(h_call);
-  return matrix_body(g, opts, resolve_threads(threads));
+  return matrix_body(operands(g, g, /*symmetric=*/true, opts), opts);
 }
 
 LdMatrix ld_cross_matrix(const BitMatrix& a, const BitMatrix& b,
@@ -318,12 +311,7 @@ LdMatrix ld_cross_matrix(const BitMatrix& a, const BitMatrix& b,
       "ldla_ld_cross_matrix_seconds",
       "ld_cross_matrix driver call latency");
   metrics::ScopedLatency metrics_lat(h_call);
-  return cross_matrix_body(a, b, opts, 1);
-}
-
-LdMatrix ld_cross_matrix_parallel(const BitMatrix& a, const BitMatrix& b,
-                                  const LdOptions& opts, unsigned threads) {
-  return cross_matrix_body(a, b, opts, resolve_threads(threads));
+  return matrix_body(operands(a, b, /*symmetric=*/false, opts), opts);
 }
 
 void ld_scan(const BitMatrix& g, const LdTileVisitor& visit,
@@ -331,16 +319,9 @@ void ld_scan(const BitMatrix& g, const LdTileVisitor& visit,
   static metrics::Histogram& h_call = metrics::histogram(
       "ldla_ld_scan_seconds", "ld_scan driver call latency");
   metrics::ScopedLatency metrics_lat(h_call);
-  scan_body(g, visit, opts, 1);
-}
-
-void ld_scan_parallel(const BitMatrix& g, const LdTileVisitor& visit,
-                      const LdOptions& opts, unsigned threads) {
-  static metrics::Histogram& h_call = metrics::histogram(
-      "ldla_ld_scan_parallel_seconds",
-      "ld_scan_parallel driver call latency");
-  metrics::ScopedLatency metrics_lat(h_call);
-  scan_body(g, visit, opts, resolve_threads(threads));
+  LDLA_EXPECT(visit != nullptr, "scan needs a visitor");
+  LDLA_EXPECT(opts.slab_rows > 0, "slab height must be positive");
+  scan_body(operands(g, g, /*symmetric=*/true, opts), visit, opts);
 }
 
 void ld_cross_scan(const BitMatrix& a, const BitMatrix& b,
@@ -348,60 +329,9 @@ void ld_cross_scan(const BitMatrix& a, const BitMatrix& b,
   static metrics::Histogram& h_call = metrics::histogram(
       "ldla_ld_cross_scan_seconds", "ld_cross_scan driver call latency");
   metrics::ScopedLatency metrics_lat(h_call);
-  cross_scan_body(a, b, visit, opts, 1);
-}
-
-void ld_cross_scan_parallel(const BitMatrix& a, const BitMatrix& b,
-                            const LdTileVisitor& visit, const LdOptions& opts,
-                            unsigned threads) {
-  cross_scan_body(a, b, visit, opts, resolve_threads(threads));
-}
-
-std::vector<RankedPair> ld_top_pairs(const BitMatrix& g, std::size_t k,
-                                     const LdOptions& opts,
-                                     unsigned threads) {
-  const std::size_t n = g.snps();
-  if (n < 2 || k == 0) return {};
-  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
-  threads = resolve_threads(threads);
-  std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix& packed = resolve_packed(
-      g.view(), opts.gemm, opts.packed, PackSides::kBoth, own, threads);
-  const detail::StatTables tables = detail::make_stat_tables(g);
-  SharedTopPairs top(k);
-  syrk_count_fused(
-      packed, 0, n,
-      top_pairs_sink(opts.stat, tables, tables, /*strict_lower=*/true, k,
-                     top),
-      threads);
-  return top.take();
-}
-
-std::vector<RankedPair> ld_cross_top_pairs(const BitMatrix& a,
-                                           const BitMatrix& b, std::size_t k,
-                                           const LdOptions& opts,
-                                           unsigned threads) {
-  LDLA_EXPECT(a.samples() == b.samples(),
-              "cross-matrix LD needs matching sample sets");
-  const std::size_t m = a.snps();
-  const std::size_t n = b.snps();
-  if (m == 0 || n == 0 || k == 0) return {};
-  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
-  threads = resolve_threads(threads);
-  std::optional<PackedBitMatrix> own_a;
-  std::optional<PackedBitMatrix> own_b;
-  const PackedBitMatrix& pa = resolve_packed(
-      a.view(), opts.gemm, opts.packed, PackSides::kA, own_a, threads);
-  const PackedBitMatrix& pb = resolve_packed(
-      b.view(), opts.gemm, opts.packed_b, PackSides::kB, own_b, threads);
-  const detail::StatTables ta = detail::make_stat_tables(a);
-  const detail::StatTables tb = detail::make_stat_tables(b);
-  SharedTopPairs top(k);
-  gemm_count_fused(
-      pa, 0, m, pb, 0, n,
-      top_pairs_sink(opts.stat, ta, tb, /*strict_lower=*/false, k, top),
-      threads);
-  return top.take();
+  LDLA_EXPECT(visit != nullptr, "scan needs a visitor");
+  LDLA_EXPECT(opts.slab_rows > 0, "slab height must be positive");
+  scan_body(operands(a, b, /*symmetric=*/false, opts), visit, opts);
 }
 
 void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
@@ -409,52 +339,8 @@ void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
   static metrics::Histogram& h_call = metrics::histogram(
       "ldla_ld_stat_scan_seconds", "ld_stat_scan driver call latency");
   metrics::ScopedLatency metrics_lat(h_call);
-  const std::size_t n = g.snps();
-  if (n == 0) return;
-  LDLA_EXPECT(g.samples() > 0, "matrix has no samples");
   LDLA_EXPECT(visit != nullptr, "stat-tile scan needs a visitor");
-  const detail::StatTables tables = detail::make_stat_tables(g);
-
-  std::optional<PackedBitMatrix> own;
-  const PackedBitMatrix& packed =
-      resolve_packed(g.view(), opts.gemm, opts.packed, PackSides::kBoth, own);
-  // Sized from the clamped tile extent: without blocking, mc and nc are
-  // effectively unbounded and their product would wrap.
-  const GemmPlan& plan = packed.plan();
-  AlignedBuffer<double> values(std::min(plan.mc, n) * std::min(plan.nc, n));
-  syrk_count_fused(packed, 0, n, [&](const CountTile& t) {
-    if (t.col_begin + t.cols <= t.row_begin + 1) {
-      // Tile entirely on/below the diagonal: every entry is canonical.
-      {
-        LDLA_TRACE_SPAN(kEpilogue);
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          detail::stat_row_shifted(opts.stat, tables, t.row_begin + i,
-                                   t.col_begin, t.row(i), t.cols,
-                                   &values[i * t.cols]);
-        }
-        metrics::pipeline().epilogue_rows.add(t.rows);
-      }
-      visit(LdTile{t.row_begin, t.col_begin, t.rows, t.cols, values.data(),
-                   t.cols});
-    } else {
-      // Diagonal-crossing tile: emit the valid prefix of each row as a
-      // one-row fragment so no above-diagonal entry ever escapes. The
-      // span covers the interleaved visits too — fragment rows are tiny.
-      LDLA_TRACE_SPAN(kEpilogue);
-      std::uint64_t rows_converted = 0;
-      for (std::size_t i = 0; i < t.rows; ++i) {
-        const std::size_t gi = t.row_begin + i;
-        if (gi < t.col_begin) continue;
-        const std::size_t width =
-            std::min(t.col_begin + t.cols, gi + 1) - t.col_begin;
-        detail::stat_row_shifted(opts.stat, tables, gi, t.col_begin,
-                                 t.row(i), width, values.data());
-        ++rows_converted;
-        visit(LdTile{gi, t.col_begin, 1, width, values.data(), width});
-      }
-      metrics::pipeline().epilogue_rows.add(rows_converted);
-    }
-  });
+  stat_scan_body(operands(g, g, /*symmetric=*/true, opts), visit, opts);
 }
 
 void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
@@ -464,38 +350,22 @@ void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
       "ldla_ld_cross_stat_scan_seconds",
       "ld_cross_stat_scan driver call latency");
   metrics::ScopedLatency metrics_lat(h_call);
-  LDLA_EXPECT(a.samples() == b.samples(),
-              "cross-matrix LD needs matching sample sets");
-  const std::size_t m = a.snps();
-  const std::size_t n = b.snps();
-  if (m == 0 || n == 0) return;
-  LDLA_EXPECT(a.samples() > 0, "matrices have no samples");
   LDLA_EXPECT(visit != nullptr, "stat-tile scan needs a visitor");
-  const detail::StatTables ta = detail::make_stat_tables(a);
-  const detail::StatTables tb = detail::make_stat_tables(b);
+  stat_scan_body(operands(a, b, /*symmetric=*/false, opts), visit, opts);
+}
 
-  std::optional<PackedBitMatrix> own_a;
-  std::optional<PackedBitMatrix> own_b;
-  const PackedBitMatrix& pa = resolve_packed(a.view(), opts.gemm, opts.packed,
-                                             PackSides::kA, own_a);
-  const PackedBitMatrix& pb = resolve_packed(b.view(), opts.gemm,
-                                             opts.packed_b, PackSides::kB,
-                                             own_b);
-  const GemmPlan& plan = pa.plan();
-  AlignedBuffer<double> values(std::min(plan.mc, m) * std::min(plan.nc, n));
-  gemm_count_fused(pa, 0, m, pb, 0, n, [&](const CountTile& t) {
-    {
-      LDLA_TRACE_SPAN(kEpilogue);
-      for (std::size_t i = 0; i < t.rows; ++i) {
-        detail::stat_row_cross_shifted(opts.stat, ta, t.row_begin + i, tb,
-                                       t.col_begin, t.row(i), t.cols,
-                                       &values[i * t.cols]);
-      }
-      metrics::pipeline().epilogue_rows.add(t.rows);
-    }
-    visit(LdTile{t.row_begin, t.col_begin, t.rows, t.cols, values.data(),
-                 t.cols});
-  });
+std::vector<RankedPair> ld_top_pairs(const BitMatrix& g, std::size_t k,
+                                     const LdOptions& opts) {
+  return top_pairs_body(
+      operands(g, g, /*symmetric=*/true, opts, k > 0 && g.snps() > 1), k,
+      opts.stat);
+}
+
+std::vector<RankedPair> ld_cross_top_pairs(const BitMatrix& a,
+                                           const BitMatrix& b, std::size_t k,
+                                           const LdOptions& opts) {
+  return top_pairs_body(operands(a, b, /*symmetric=*/false, opts, k > 0), k,
+                        opts.stat);
 }
 
 }  // namespace ldla

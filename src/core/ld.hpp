@@ -14,8 +14,24 @@
 // Every driver runs on a PackedBitMatrix (LdOptions::packed, or one packed
 // per call) and converts counts to statistics in the fused tile sink: each
 // finalized count tile becomes D/D'/r² while still hot in cache, so no
-// count matrix is ever materialized. Visitors fire sequentially from the
-// calling thread, also in the *_parallel drivers (core/parallel.hpp).
+// count matrix is ever materialized. Each output has one body for both
+// shapes: a symmetric driver is its cross twin with a == b, restricted to
+// the lower triangle.
+//
+// Threads (DESIGN.md §4.4). LdOptions::threads sizes a team; a sequential
+// call is a team of one. The operand is packed once as a team (one sliver
+// range per worker, one barrier per side), then the team works *inside*
+// one loop nest: per-member Chase–Lev deques drain a queue of (ic, jr)
+// macro-tile chunks over the shared immutable pack, stealing from each
+// other when their block runs dry. The symmetric drivers enqueue only
+// diagonal-and-below chunks, so the SYRK triangle saving survives
+// parallelization. Results are bit-identical for every thread count. Tasks
+// execute on the process-wide global_pool(), so execution parallelism is
+// additionally capped by that pool's size and repeated calls pay no thread
+// spawn/join cost. The slab scans fire their visitor sequentially from the
+// calling thread after each slab's nest has joined; the stat-tile scans
+// call it concurrently when threads != 1 (as the streams of
+// core/ld_stream.hpp do).
 #pragma once
 
 #include <cstdint>
@@ -61,6 +77,10 @@ struct LdOptions {
   const PackedBitMatrix* packed = nullptr;
   /// Same for the second matrix of the cross drivers (needs a B side).
   const PackedBitMatrix* packed_b = nullptr;
+  /// Team size of the drivers in this header: 1 (default) runs the count
+  /// nest inline on the calling thread, 0 means default_thread_count()
+  /// (the LDLA_THREADS environment variable, else hardware concurrency).
+  unsigned threads = 1;
 };
 
 /// One ranked SNP pair of a top-k report: row SNP `i`, column SNP `j` and
@@ -112,6 +132,14 @@ class LdMatrix {
 /// regions use ld_scan.
 LdMatrix ld_matrix(const BitMatrix& g, const LdOptions& opts = {});
 
+/// ld_matrix with a team of `threads` (0 = default_thread_count()); the
+/// form that predates LdOptions::threads, kept for its callers.
+inline LdMatrix ld_matrix_parallel(const BitMatrix& g, LdOptions opts = {},
+                                   unsigned threads = 0) {
+  opts.threads = threads;
+  return ld_matrix(g, opts);
+}
+
 /// LD between every SNP of `a` and every SNP of `b` (the Fig. 4 / long-range
 /// association use case). Both matrices must cover the same samples.
 LdMatrix ld_cross_matrix(const BitMatrix& a, const BitMatrix& b,
@@ -149,7 +177,9 @@ void ld_cross_scan(const BitMatrix& a, const BitMatrix& b,
 /// Visitor for stat tiles delivered straight from the fused GEMM epilogue:
 /// tile geometry follows the cache blocking (at most mc x nc), values are
 /// valid only for the duration of the call, and — unlike the slab scans —
-/// total resident memory is O(mc·nc), independent of n.
+/// total resident memory is O(mc·nc) per thread, independent of n. With a
+/// team (threads != 1) the visitor is called CONCURRENTLY; tiles stay
+/// disjoint, so a visitor writing disjoint output ranges needs no lock.
 using LdStatTileVisitor = std::function<void(const LdTile&)>;
 
 /// Lowest-memory streaming all-pairs LD: emits stat tiles directly from
@@ -165,6 +195,21 @@ void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
 void ld_cross_stat_scan(const BitMatrix& a, const BitMatrix& b,
                         const LdStatTileVisitor& visit,
                         const LdOptions& opts = {});
+
+/// The k best pairs (i, j), j < i, of one matrix in ranks_before order,
+/// streamed through a fused top-k sink: count tiles become statistics row
+/// by row, feed tile-local bounded selectors, and those merge into one
+/// shared selector under a lock. NaN entries (monomorphic SNPs) are never
+/// ranked. Memory is O(k + threads·mc·nc), not O(n²), and the list equals
+/// top_pairs(ld_matrix(g, opts), k) for every thread count.
+std::vector<RankedPair> ld_top_pairs(const BitMatrix& g, std::size_t k,
+                                     const LdOptions& opts = {});
+
+/// The k best (row of a, row of b) pairs in ranks_before order, streamed
+/// like ld_top_pairs; i indexes `a` and j indexes `b`.
+std::vector<RankedPair> ld_cross_top_pairs(const BitMatrix& a,
+                                           const BitMatrix& b, std::size_t k,
+                                           const LdOptions& opts = {});
 
 /// Mirror the lower triangle (j < i) of a square LdMatrix into the upper
 /// triangle, cache-blocked. All three statistics are symmetric in (i, j)

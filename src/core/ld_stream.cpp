@@ -8,24 +8,12 @@
 
 #include "core/detail/ld_stats_row.hpp"
 #include "core/gemm/macro.hpp"
-#include "core/gemm/syrk.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace ldla {
 namespace {
-
-/// Per-thread epilogue scratch for the team-mode sinks: tiles arrive
-/// concurrently, each thread converts into its own buffer (grown once to
-/// the clamped tile bound, then reused for the whole stream).
-AlignedBuffer<double>& tile_scratch(std::size_t n) {
-  thread_local AlignedBuffer<double> buf;
-  if (buf.size() < n) {
-    buf = AlignedBuffer<double>(n);
-  }
-  return buf;
-}
 
 /// Largest shard of `store`, in rows. Tiles never exceed one shard on
 /// either axis, so the stat scratch is sized from min(mc, this) x
@@ -226,173 +214,76 @@ class PairWalker {
                                ///< thread and the joined prefetch task only
 };
 
-}  // namespace
-
-void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
-                      const StreamOptions& opts) {
+/// The one stream body: shards of `rs` (rows) against shards of `cs`
+/// (columns). Symmetric (rs == cs) walks the lower triangle of shard pairs,
+/// where the diagonal pairs run the SYRK nest with canonical fragments;
+/// cross walks the full rectangle. Tiles are rebased from shard-local to
+/// global indices, with the arithmetic of ld_stat_scan's emitter.
+void stream_body(ShardStore& rs, ShardStore& cs, bool symmetric,
+                 const LdStatTileVisitor& visit, const StreamOptions& opts) {
   static metrics::Histogram& h_call = metrics::histogram(
       "ldla_stream_seconds",
       "ld_matrix_stream / ld_cross_stream driver call latency");
   metrics::ScopedLatency metrics_lat(h_call);
-  LDLA_EXPECT(visit != nullptr, "stat-tile stream needs a visitor");
-  const std::size_t S = store.shards();
-  if (S == 0) return;
-  const detail::StatTables tables = detail::make_stat_tables_from_counts(
-      store.allele_counts(), store.samples());
-  const GemmPlan& plan = store.plan();
-  const std::size_t max_rows = max_shard_rows(store);
-  const std::size_t scratch_n =
-      std::min(plan.mc, max_rows) * std::min(plan.nc, max_rows);
-  const bool sequential = opts.threads == 1;
-  AlignedBuffer<double> seq_values(sequential ? scratch_n : 0);
-  const auto scratch = [&]() -> double* {
-    return sequential ? seq_values.data() : tile_scratch(scratch_n).data();
-  };
+  LDLA_EXPECT(rs.samples() == cs.samples(),
+              "cross-matrix LD needs matching sample sets");
+  const GemmPlan& pa = rs.plan();
+  const GemmPlan& pb = cs.plan();
+  LDLA_EXPECT(pa.arch == pb.arch && pa.mr == pb.mr && pa.nr == pb.nr &&
+                  pa.ku == pb.ku && pa.kc_words == pb.kc_words,
+              "cross-stream stores must be ingested with the same plan "
+              "geometry (same config)");
+  if (rs.shards() == 0 || cs.shards() == 0) return;
+  const detail::StatTables ta =
+      detail::make_stat_tables_from_counts(rs.allele_counts(), rs.samples());
+  const detail::StatTables tb =
+      symmetric ? detail::StatTables{}
+                : detail::make_stat_tables_from_counts(cs.allele_counts(),
+                                                       cs.samples());
+  const detail::StatTables& tcols = symmetric ? ta : tb;
+  detail::TileScratch scratch(std::min(pa.mc, max_shard_rows(rs)) *
+                                  std::min(pa.nc, max_shard_rows(cs)),
+                              opts.threads);
 
-  // Identical arithmetic and trace accounting to ld_stat_scan's fused
-  // epilogue, with the tile rebased from shard-local to global indices.
-  const auto emit_syrk = [&](std::size_t base, const CountTile& t) {
-    double* values = scratch();
-    if (t.col_begin + t.cols <= t.row_begin + 1) {
-      {
-        LDLA_TRACE_SPAN(kEpilogue);
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          detail::stat_row_shifted(opts.stat, tables, base + t.row_begin + i,
-                                   base + t.col_begin, t.row(i), t.cols,
-                                   &values[i * t.cols]);
-        }
-        metrics::pipeline().epilogue_rows.add(t.rows);
-      }
-      visit(LdTile{base + t.row_begin, base + t.col_begin, t.rows, t.cols,
-                   values, t.cols});
-    } else {
-      // Diagonal-crossing tile: canonical per-row fragments, as in ld.cpp.
-      LDLA_TRACE_SPAN(kEpilogue);
-      std::uint64_t rows_converted = 0;
-      for (std::size_t i = 0; i < t.rows; ++i) {
-        const std::size_t li = t.row_begin + i;
-        if (li < t.col_begin) continue;
-        const std::size_t width =
-            std::min(t.col_begin + t.cols, li + 1) - t.col_begin;
-        detail::stat_row_shifted(opts.stat, tables, base + li,
-                                 base + t.col_begin, t.row(i), width, values);
-        ++rows_converted;
-        visit(LdTile{base + li, base + t.col_begin, 1, width, values, width});
-      }
-      metrics::pipeline().epilogue_rows.add(rows_converted);
-    }
-  };
-  const auto emit_gemm = [&](std::size_t rbase, std::size_t cbase,
-                             const CountTile& t) {
-    double* values = scratch();
-    {
-      LDLA_TRACE_SPAN(kEpilogue);
-      for (std::size_t i = 0; i < t.rows; ++i) {
-        detail::stat_row_shifted(opts.stat, tables, rbase + t.row_begin + i,
-                                 cbase + t.col_begin, t.row(i), t.cols,
-                                 &values[i * t.cols]);
-      }
-      metrics::pipeline().epilogue_rows.add(t.rows);
-    }
-    visit(LdTile{rbase + t.row_begin, cbase + t.col_begin, t.rows, t.cols,
-                 values, t.cols});
-  };
-
-  // Row-major over the lower triangle: consecutive pairs share the row
-  // shard, so with any budget >= the floor, each row shard stalls at most
-  // once per grid row and every jc revisit within the row is a hit.
+  // Row-major: consecutive pairs share the row shard, so with any budget >=
+  // the floor, each row shard stalls at most once per grid row and every
+  // column revisit within the row is a hit.
   std::vector<StreamPair> pairs;
-  pairs.reserve(S * (S + 1) / 2);
-  for (std::size_t ic = 0; ic < S; ++ic) {
-    for (std::size_t jc = 0; jc <= ic; ++jc) {
-      pairs.push_back({ic, jc});
-    }
+  for (std::size_t r = 0; r < rs.shards(); ++r) {
+    const std::size_t c_end = symmetric ? r + 1 : cs.shards();
+    for (std::size_t c = 0; c < c_end; ++c) pairs.push_back({r, c});
   }
 
-  PairWalker walker(&store, &store, opts);
+  PairWalker walker(&rs, &cs, opts);
   walker.run(pairs, [&](const StreamPair& p, const PackedBitMatrix& pr,
                         const PackedBitMatrix& pc) {
-    const std::size_t rbase = store.shard_row_begin(p.r);
-    const std::size_t rows = store.shard_rows(p.r);
-    if (p.r == p.c) {
-      const CountTileSink sink = [&](const CountTile& t) {
-        emit_syrk(rbase, t);
-      };
-      syrk_count_fused(pr, 0, rows, sink, opts.threads);
-    } else {
-      // jc < ic: the whole cross block lies strictly below the diagonal
-      // (every column index < every row index), so all entries are
-      // canonical whole-tile emissions.
-      const std::size_t cbase = store.shard_row_begin(p.c);
-      const std::size_t cols = store.shard_rows(p.c);
-      const CountTileSink sink = [&](const CountTile& t) {
-        emit_gemm(rbase, cbase, t);
-      };
-      gemm_count_fused(pr, 0, rows, pc, 0, cols, sink, opts.threads);
-    }
+    // Off-diagonal pairs of the triangle lie strictly below the diagonal
+    // (every column index < every row index): whole-tile emissions.
+    const bool diagonal = symmetric && p.r == p.c;
+    const std::size_t rbase = rs.shard_row_begin(p.r);
+    const std::size_t cbase = cs.shard_row_begin(p.c);
+    detail::count_tiles(pr, 0, rs.shard_rows(p.r), pc, 0, cs.shard_rows(p.c),
+                        diagonal,
+                        detail::stat_tile_emitter(opts.stat, ta, rbase, tcols,
+                                                  cbase, diagonal, scratch,
+                                                  visit),
+                        opts.threads);
   });
+}
+
+}  // namespace
+
+void ld_matrix_stream(ShardStore& store, const LdStatTileVisitor& visit,
+                      const StreamOptions& opts) {
+  LDLA_EXPECT(visit != nullptr, "stat-tile stream needs a visitor");
+  stream_body(store, store, /*symmetric=*/true, visit, opts);
 }
 
 void ld_cross_stream(ShardStore& a, ShardStore& b,
                      const LdStatTileVisitor& visit,
                      const StreamOptions& opts) {
-  static metrics::Histogram& h_call = metrics::histogram(
-      "ldla_stream_seconds",
-      "ld_matrix_stream / ld_cross_stream driver call latency");
-  metrics::ScopedLatency metrics_lat(h_call);
   LDLA_EXPECT(visit != nullptr, "stat-tile stream needs a visitor");
-  LDLA_EXPECT(a.samples() == b.samples(),
-              "cross-matrix LD needs matching sample sets");
-  const GemmPlan& pa = a.plan();
-  const GemmPlan& pb = b.plan();
-  LDLA_EXPECT(pa.arch == pb.arch && pa.mr == pb.mr && pa.nr == pb.nr &&
-                  pa.ku == pb.ku && pa.kc_words == pb.kc_words,
-              "cross-stream stores must be ingested with the same plan "
-              "geometry (same config)");
-  const std::size_t sa = a.shards();
-  const std::size_t sb = b.shards();
-  if (sa == 0 || sb == 0) return;
-  const detail::StatTables ta = detail::make_stat_tables_from_counts(
-      a.allele_counts(), a.samples());
-  const detail::StatTables tb = detail::make_stat_tables_from_counts(
-      b.allele_counts(), b.samples());
-  const std::size_t scratch_n = std::min(pa.mc, max_shard_rows(a)) *
-                                std::min(pa.nc, max_shard_rows(b));
-  const bool sequential = opts.threads == 1;
-  AlignedBuffer<double> seq_values(sequential ? scratch_n : 0);
-
-  std::vector<StreamPair> pairs;
-  pairs.reserve(sa * sb);
-  for (std::size_t ia = 0; ia < sa; ++ia) {
-    for (std::size_t jb = 0; jb < sb; ++jb) {
-      pairs.push_back({ia, jb});
-    }
-  }
-
-  PairWalker walker(&a, &b, opts);
-  walker.run(pairs, [&](const StreamPair& p, const PackedBitMatrix& pr,
-                        const PackedBitMatrix& pc) {
-    const std::size_t rbase = a.shard_row_begin(p.r);
-    const std::size_t rows = a.shard_rows(p.r);
-    const std::size_t cbase = b.shard_row_begin(p.c);
-    const std::size_t cols = b.shard_rows(p.c);
-    const CountTileSink sink = [&](const CountTile& t) {
-      double* values =
-          sequential ? seq_values.data() : tile_scratch(scratch_n).data();
-      {
-        LDLA_TRACE_SPAN(kEpilogue);
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          detail::stat_row_cross_shifted(opts.stat, ta, rbase + t.row_begin + i,
-                                         tb, cbase + t.col_begin, t.row(i),
-                                         t.cols, &values[i * t.cols]);
-        }
-        metrics::pipeline().epilogue_rows.add(t.rows);
-      }
-      visit(LdTile{rbase + t.row_begin, cbase + t.col_begin, t.rows, t.cols,
-                   values, t.cols});
-    };
-    gemm_count_fused(pr, 0, rows, pc, 0, cols, sink, opts.threads);
-  });
+  stream_body(a, b, /*symmetric=*/false, visit, opts);
 }
 
 }  // namespace ldla

@@ -94,6 +94,7 @@ LdMatrix ld_matrix_missing(const MaskedBitMatrix& g, const LdOptions& opts) {
 
 void ld_scan_missing(const MaskedBitMatrix& g, const LdTileVisitor& visit,
                      const LdOptions& opts) {
+  LDLA_EXPECT(visit != nullptr, "scan needs a visitor");
   const std::size_t n = g.snps();
   if (n == 0) return;
   LDLA_EXPECT(g.samples() > 0, "matrix has no samples");

@@ -8,7 +8,9 @@
 //
 //   #include "ldla.hpp"
 //   ldla::BitMatrix g = ldla::parse_ms_file("data.ms")[0].genotypes;
-//   ldla::LdMatrix r2 = ldla::ld_matrix_parallel(g);   // all-pairs r^2
+//   ldla::LdOptions opts;
+//   opts.threads = 0;                                  // all cores
+//   ldla::LdMatrix r2 = ldla::ld_matrix(g, opts);      // all-pairs r^2
 //
 // See README.md for a tour and DESIGN.md for the architecture.
 #pragma once
@@ -26,7 +28,6 @@
 #include "core/ld_blocks.hpp"       // haplotype-block partitioning
 #include "core/genotype_ld.hpp"     // genotype-dosage LD at GEMM speed
 #include "core/higher_order.hpp"    // three-locus disequilibrium
-#include "core/parallel.hpp"        // multi-threaded drivers
 #include "core/missing.hpp"         // alignment-gap extension (Section VII)
 #include "core/fsm.hpp"             // finite-sites extension (Section VII)
 #include "core/tanimoto.hpp"        // fingerprint similarity (Section VII)

@@ -85,18 +85,18 @@ class BandRing {
   AlignedBuffer<double> r2_;
 };
 
-// Shared body of omega_scan (threads = 1) and omega_scan_parallel: grid
-// points split in `threads` contiguous ranges on the process-wide pool,
-// each streaming its own band pass over the one shared pack.
-std::vector<OmegaPoint> scan_body(const BitMatrix& g,
-                                  const std::vector<double>& positions,
-                                  const SweepScanParams& params,
-                                  unsigned threads) {
+}  // namespace
+
+std::vector<OmegaPoint> omega_scan(const BitMatrix& g,
+                                   const std::vector<double>& positions,
+                                   const SweepScanParams& params) {
   LDLA_EXPECT(positions.size() == g.snps(), "need one position per SNP");
   LDLA_EXPECT(std::is_sorted(positions.begin(), positions.end()),
               "positions must be sorted");
   LDLA_EXPECT(params.grid_points > 0, "need at least one grid point");
   LDLA_EXPECT(params.window_snps >= 2, "window needs at least 2 SNPs a side");
+  const unsigned threads =
+      params.threads == 0 ? default_thread_count() : params.threads;
   const std::size_t n = g.snps();
   if (n < 4) return {};
   // Half-window extents, clamped to n so center + half never wraps.
@@ -138,6 +138,8 @@ std::vector<OmegaPoint> scan_body(const BitMatrix& g,
       }
     }
   };
+  // Grid points split in `threads` contiguous ranges on the process-wide
+  // pool, each streaming its own band pass over the one shared pack.
   if (threads <= 1) {
     scan_range(Range{0, params.grid_points});
   } else {
@@ -152,21 +154,6 @@ std::vector<OmegaPoint> scan_body(const BitMatrix& g,
     if (slot) out.push_back(*slot);
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<OmegaPoint> omega_scan(const BitMatrix& g,
-                                   const std::vector<double>& positions,
-                                   const SweepScanParams& params) {
-  return scan_body(g, positions, params, 1);
-}
-
-std::vector<OmegaPoint> omega_scan_parallel(
-    const BitMatrix& g, const std::vector<double>& positions,
-    const SweepScanParams& params, unsigned threads) {
-  return scan_body(g, positions, params,
-                   threads == 0 ? default_thread_count() : threads);
 }
 
 OmegaPoint omega_scan_peak(const std::vector<OmegaPoint>& scan) {

@@ -26,6 +26,12 @@ struct SweepScanParams {
   /// half-window) rows that grid windows read, so overlapping windows share
   /// each r²; the pass skips the rows between windows that do not overlap.
   const PackedBitMatrix* packed = nullptr;
+  /// Team size: 1 (default) scans on the calling thread, 0 means
+  /// default_thread_count(). The grid points are split into `threads`
+  /// contiguous ranges over one shared pack, each streaming its own band
+  /// pass and ring with team-of-one nests (only a band of rows is
+  /// recomputed at each seam). Results are identical for every team size.
+  unsigned threads = 1;
 };
 
 struct OmegaPoint {
@@ -41,15 +47,6 @@ struct OmegaPoint {
 std::vector<OmegaPoint> omega_scan(const BitMatrix& g,
                                    const std::vector<double>& positions,
                                    const SweepScanParams& params = {});
-
-/// Same scan with `threads` workers (0 = default_thread_count()): the grid
-/// points are split into `threads` contiguous ranges over one shared pack,
-/// each streaming its own band pass and ring with team-of-one nests (only
-/// a band of rows is recomputed at each seam). Results identical to
-/// omega_scan.
-std::vector<OmegaPoint> omega_scan_parallel(
-    const BitMatrix& g, const std::vector<double>& positions,
-    const SweepScanParams& params = {}, unsigned threads = 0);
 
 /// Highest-omega grid point of a scan (the sweep candidate).
 OmegaPoint omega_scan_peak(const std::vector<OmegaPoint>& scan);

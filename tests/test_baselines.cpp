@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/naive.hpp"
-#include "core/parallel.hpp"
+#include "core/ld.hpp"
 #include "sim/wright_fisher.hpp"
 #include "util/contract.hpp"
 

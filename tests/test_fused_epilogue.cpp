@@ -24,7 +24,6 @@
 #include "core/gemm/kernel.hpp"
 #include "core/gemm/macro.hpp"
 #include "core/gemm/syrk.hpp"
-#include "core/parallel.hpp"
 #include "omega/omega_stat.hpp"
 #include "omega/sweep_scan.hpp"
 #include "sim/rng.hpp"
@@ -303,10 +302,11 @@ TEST(FusedEpilogueParallel, ParallelScanMatchesNaiveFromCallingThread) {
     LdOptions opts;
     opts.stat = stat;
     opts.slab_rows = kSlab;
+    opts.threads = 3;
     // The team works inside each slab's nest; the visitor fires in slab
     // order from this thread, so it needs no locking.
     std::size_t next = 0;
-    ld_scan_parallel(
+    ld_scan(
         g,
         [&](const LdTile& t) {
           ASSERT_EQ(std::this_thread::get_id(), caller);
@@ -314,10 +314,10 @@ TEST(FusedEpilogueParallel, ParallelScanMatchesNaiveFromCallingThread) {
           ASSERT_EQ(t.row_begin, next);
           ASSERT_EQ(t.rows, r1 - next);
           ASSERT_EQ(t.cols, r1);
-          expect_tile_near(t, want, "ld_scan_parallel");
+          expect_tile_near(t, want, "ld_scan team of 3");
           next = r1;
         },
-        opts, 3);
+        opts);
     EXPECT_EQ(next, n);
   }
 }
@@ -331,10 +331,11 @@ TEST(FusedEpilogueParallel, ParallelMatricesMatchNaive) {
     LdOptions opts;
     opts.stat = stat;
     opts.slab_rows = 17;
-    expect_matrix_near(ld_matrix_parallel(g, opts, 3),
-                       oracle_ld(g, g, gg, stat), "ld_matrix_parallel");
-    expect_matrix_near(ld_cross_matrix_parallel(g, b, opts, 3),
-                       oracle_ld(g, b, gb, stat), "ld_cross_matrix_parallel");
+    opts.threads = 3;
+    expect_matrix_near(ld_matrix(g, opts), oracle_ld(g, g, gg, stat),
+                       "ld_matrix team of 3");
+    expect_matrix_near(ld_cross_matrix(g, b, opts), oracle_ld(g, b, gb, stat),
+                       "ld_cross_matrix team of 3");
   }
 }
 
@@ -392,17 +393,17 @@ std::vector<double> uniform_positions(std::size_t n) {
   return positions;
 }
 
-/// omega_scan and omega_scan_parallel at 1-4 threads must reproduce the
-/// oracle exactly: same points, bit-identical omega, same window and split.
+/// omega_scan at 0-4 threads must reproduce the oracle exactly: same
+/// points, bit-identical omega, same window and split.
 void expect_scan_matches_oracle(const BitMatrix& g,
                                 const SweepScanParams& params) {
   const std::vector<double> positions = uniform_positions(g.snps());
   const std::vector<OmegaPoint> want = oracle_omega(g, positions, params);
   ASSERT_FALSE(want.empty());
   for (const unsigned threads : {0u, 1u, 2u, 3u, 4u}) {
-    const std::vector<OmegaPoint> got =
-        threads == 0 ? omega_scan(g, positions, params)
-                     : omega_scan_parallel(g, positions, params, threads);
+    SweepScanParams team = params;
+    team.threads = threads;
+    const std::vector<OmegaPoint> got = omega_scan(g, positions, team);
     ASSERT_EQ(got.size(), want.size()) << "threads " << threads;
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i].position, want[i].position);
@@ -501,8 +502,8 @@ TEST(FusedEpilogueOmega, UnboundedWindowScansLikeWholeRegion) {
   const std::vector<OmegaPoint> want = omega_scan(g, positions, whole);
   ASSERT_EQ(want.size(), whole.grid_points);
   for (const unsigned threads : {1u, 3u}) {
-    const std::vector<OmegaPoint> got =
-        omega_scan_parallel(g, positions, unbounded, threads);
+    unbounded.threads = threads;
+    const std::vector<OmegaPoint> got = omega_scan(g, positions, unbounded);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i].omega, want[i].omega) << "point " << i;

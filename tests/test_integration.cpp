@@ -46,7 +46,9 @@ TEST(Integration, SimulateSerializeAnalyzeRoundTrip) {
 
   // 4. LD through every driver agrees.
   const LdMatrix dense = ld_matrix(g);
-  const LdMatrix parallel = ld_matrix_parallel(g, {}, 3);
+  LdOptions team;
+  team.threads = 3;
+  const LdMatrix parallel = ld_matrix(g, team);
   double max_diff = 0.0;
   for (std::size_t i = 0; i < g.snps(); i += 11) {
     for (std::size_t j = 0; j < g.snps(); j += 13) {
@@ -65,8 +67,8 @@ TEST(Integration, SimulateSerializeAnalyzeRoundTrip) {
   SweepScanParams scan_params;
   scan_params.grid_points = 20;
   scan_params.window_snps = 25;
-  const auto scan =
-      omega_scan_parallel(g, parsed[0].positions, scan_params, 2);
+  scan_params.threads = 2;
+  const auto scan = omega_scan(g, parsed[0].positions, scan_params);
   ASSERT_FALSE(scan.empty());
   const OmegaPoint peak = omega_scan_peak(scan);
   EXPECT_NEAR(peak.position, sp.sweep_center, 0.15);

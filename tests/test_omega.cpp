@@ -209,7 +209,8 @@ TEST(SweepScan, ParallelMatchesSequential) {
   params.window_snps = 20;
   const auto seq = omega_scan(d.genotypes, d.positions, params);
   for (unsigned t : {1u, 2u, 4u}) {
-    const auto par = omega_scan_parallel(d.genotypes, d.positions, params, t);
+    params.threads = t;
+    const auto par = omega_scan(d.genotypes, d.positions, params);
     ASSERT_EQ(par.size(), seq.size()) << t << " threads";
     for (std::size_t i = 0; i < seq.size(); ++i) {
       EXPECT_DOUBLE_EQ(par[i].omega, seq[i].omega);

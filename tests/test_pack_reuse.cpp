@@ -20,7 +20,6 @@
 #include "core/gemm/macro.hpp"
 #include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
-#include "core/parallel.hpp"
 #include "omega/sweep_scan.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"

@@ -1,4 +1,4 @@
-#include "core/parallel.hpp"
+#include "core/ld.hpp"
 
 #include <cmath>
 #include <mutex>
@@ -44,7 +44,8 @@ TEST_P(ParallelThreads, SymmetricMatrixMatchesSequential) {
   const LdMatrix sequential = ld_matrix(g);
   LdOptions opts;
   opts.slab_rows = 8;
-  expect_matrices_equal(ld_matrix_parallel(g, opts, GetParam()), sequential);
+  opts.threads = GetParam();
+  expect_matrices_equal(ld_matrix(g, opts), sequential);
 }
 
 TEST_P(ParallelThreads, CrossMatrixMatchesSequential) {
@@ -53,8 +54,8 @@ TEST_P(ParallelThreads, CrossMatrixMatchesSequential) {
   const LdMatrix sequential = ld_cross_matrix(a, b);
   LdOptions opts;
   opts.slab_rows = 5;
-  expect_matrices_equal(ld_cross_matrix_parallel(a, b, opts, GetParam()),
-                        sequential);
+  opts.threads = GetParam();
+  expect_matrices_equal(ld_cross_matrix(a, b, opts), sequential);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelThreads,
@@ -64,10 +65,11 @@ TEST(ParallelScan, CoversEveryLowerPairExactlyOnce) {
   const BitMatrix g = test_matrix(37, 70, 4);
   LdOptions opts;
   opts.slab_rows = 6;
+  opts.threads = 4;
   std::mutex mu;
   std::set<std::pair<std::size_t, std::size_t>> seen;
   bool duplicate = false;
-  ld_scan_parallel(
+  ld_scan(
       g,
       [&](const LdTile& tile) {
         std::lock_guard lock(mu);
@@ -79,7 +81,7 @@ TEST(ParallelScan, CoversEveryLowerPairExactlyOnce) {
           }
         }
       },
-      opts, 4);
+      opts);
   EXPECT_FALSE(duplicate);
   for (std::size_t i = 0; i < g.snps(); ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
@@ -96,7 +98,8 @@ TEST(ParallelScan, AggregateIndependentOfThreadCount) {
     std::uint64_t pairs = 0;
     LdOptions opts;
     opts.slab_rows = 9;
-    ld_scan_parallel(
+    opts.threads = threads;
+    ld_scan(
         g,
         [&](const LdTile& tile) {
           double local = 0.0;
@@ -116,7 +119,7 @@ TEST(ParallelScan, AggregateIndependentOfThreadCount) {
           sum += local;
           pairs += local_pairs;
         },
-        opts, threads);
+        opts);
     return std::pair{sum, pairs};
   };
 
@@ -131,15 +134,20 @@ TEST(ParallelScan, AggregateIndependentOfThreadCount) {
 
 TEST(ParallelDrivers, ZeroThreadsMeansHardwareConcurrency) {
   const BitMatrix g = test_matrix(11, 64, 6);
-  const LdMatrix a = ld_matrix_parallel(g, {}, 0);
+  LdOptions opts;
+  opts.threads = 0;
+  expect_matrices_equal(ld_matrix(g, opts), ld_matrix(g));
+  // The ld_matrix_parallel wrapper defaults to the same team.
+  const LdMatrix a = ld_matrix_parallel(g);
   const LdMatrix b = ld_matrix(g);
   expect_matrices_equal(a, b);
 }
 
 TEST(ParallelDrivers, MoreThreadsThanRows) {
   const BitMatrix g = test_matrix(3, 64, 7);
-  const LdMatrix a = ld_matrix_parallel(g, {}, 16);
-  expect_matrices_equal(a, ld_matrix(g));
+  LdOptions opts;
+  opts.threads = 16;
+  expect_matrices_equal(ld_matrix(g, opts), ld_matrix(g));
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 #include "core/gemm/packed_bit_matrix.hpp"
 #include "core/gemm/sparse_kernel.hpp"
 #include "core/ld.hpp"
-#include "core/parallel.hpp"
 #include "omega/sweep_scan.hpp"
 #include "sim/maf_spectrum.hpp"
 #include "sim/rng.hpp"
@@ -406,8 +405,8 @@ TEST_P(SparseDispatch, NestParallelMatchesSequentialHybrid) {
     LdOptions sparse = dense;
     sparse.gemm.sparse_threshold = kSparseThresholdAuto;
     expect_same_matrix(ld_matrix(g, sparse), want, "sequential hybrid");
-    expect_same_matrix(ld_matrix_parallel(g, sparse, 4), want,
-                       "nest-parallel hybrid");
+    sparse.threads = 4;
+    expect_same_matrix(ld_matrix(g, sparse), want, "nest-parallel hybrid");
   }
 }
 

@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/band.hpp"
+#include "core/genotype_ld.hpp"
 #include "core/ld.hpp"
-#include "core/parallel.hpp"
+#include "core/missing.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
 #include "util/sync.hpp"
@@ -300,6 +302,25 @@ TEST(StreamContracts, RejectsNullVisitorAndMismatchedStores) {
   ShardStore s2 = ShardStore::open(p2);
   EXPECT_THROW(ld_cross_stream(s1, s2, [](const LdTile&) {}),
                ContractViolation);
+}
+
+// The in-memory scans reject an empty visitor the same way, before they
+// pack or compute anything — including on inputs with no SNPs.
+TEST(StreamContracts, ScansRejectNullVisitor) {
+  for (const std::size_t snps : {std::size_t{20}, std::size_t{0}}) {
+    const BitMatrix g = random_matrix(snps, 100, 11);
+    EXPECT_THROW(ld_scan(g, nullptr), ContractViolation);
+    EXPECT_THROW(ld_cross_scan(g, g, nullptr), ContractViolation);
+    EXPECT_THROW(ld_stat_scan(g, nullptr), ContractViolation);
+    EXPECT_THROW(ld_cross_stat_scan(g, g, nullptr), ContractViolation);
+    EXPECT_THROW(ld_band_scan(g, 4, nullptr), ContractViolation);
+    const MaskedBitMatrix masked(random_matrix(snps, 100, 11),
+                                 BitMatrix(snps, 100));
+    EXPECT_THROW(ld_scan_missing(masked, nullptr), ContractViolation);
+    EXPECT_THROW(
+        genotype_ld_scan(GenotypeMatrix::from_haplotypes(g), nullptr),
+        ContractViolation);
+  }
 }
 
 }  // namespace

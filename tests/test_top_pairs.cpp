@@ -14,7 +14,7 @@
 
 #include "baselines/naive.hpp"
 #include "core/gemm/config.hpp"
-#include "core/parallel.hpp"
+#include "core/ld.hpp"
 #include "io/matrix_writer.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
@@ -125,13 +125,13 @@ std::size_t draw_k(std::size_t pairs, Rng& rng) {
 
 struct Case {
   std::size_t samples = 0;
-  unsigned threads = 1;
   LdOptions opts;
 
   std::string describe(std::size_t m, std::size_t n, std::size_t k) const {
     std::ostringstream s;
     s << m << "x" << n << " snps, " << samples << " samples, k=" << k
-      << ", threads=" << threads << ", stat=" << ld_statistic_name(opts.stat)
+      << ", threads=" << opts.threads
+      << ", stat=" << ld_statistic_name(opts.stat)
       << ", blocking=" << opts.gemm.blocking;
     return s.str();
   }
@@ -141,7 +141,7 @@ Case draw_case(Rng& rng) {
   Case c;
   c.samples = 1 + rng.next_below(200);
   const unsigned threads[] = {1, 2, 4};
-  c.threads = threads[rng.next_below(3)];
+  c.opts.threads = threads[rng.next_below(3)];
   c.opts.stat = kStats[rng.next_below(3)];
   c.opts.gemm.blocking = rng.next_below(4) != 0;
   return c;
@@ -166,7 +166,7 @@ TEST(LdTopPairs, MatchesSortedOracle) {
     const BitMatrix g = random_panel(n, c.samples, rng);
     const std::size_t pairs = n < 2 ? 0 : n * (n - 1) / 2;
     const std::size_t k = draw_k(pairs, rng);
-    expect_same_list(ld_top_pairs(g, k, c.opts, c.threads),
+    expect_same_list(ld_top_pairs(g, k, c.opts),
                      oracle_top(g, k, c.opts.stat), c.describe(n, n, k));
   }
 }
@@ -181,7 +181,7 @@ TEST(LdCrossTopPairs, MatchesSortedOracle) {
     const BitMatrix a = random_panel(m, c.samples, rng);
     const BitMatrix b = random_panel(n, c.samples, rng);
     const std::size_t k = draw_k(m * n, rng);
-    expect_same_list(ld_cross_top_pairs(a, b, k, c.opts, c.threads),
+    expect_same_list(ld_cross_top_pairs(a, b, k, c.opts),
                      oracle_cross_top(a, b, k, c.opts.stat),
                      c.describe(m, n, k));
   }
@@ -194,7 +194,7 @@ TEST(LdTopPairs, EqualsTopPairsOfTheMatrix) {
     const std::size_t n = draw_snps(draw_shape(c, rng), plan_mc(c), rng);
     const BitMatrix g = random_panel(n, c.samples, rng);
     for (const std::size_t k : {std::size_t{1}, std::size_t{10}, n * n}) {
-      expect_same_list(ld_top_pairs(g, k, c.opts, c.threads),
+      expect_same_list(ld_top_pairs(g, k, c.opts),
                        top_pairs(ld_matrix(g, c.opts), k),
                        c.describe(n, n, k));
     }
@@ -212,7 +212,9 @@ TEST(LdTopPairs, TiesOrderByRowThenColumn) {
     }
   }
   for (const unsigned threads : {1u, 4u}) {
-    const auto top = ld_top_pairs(g, 20, {}, threads);
+    LdOptions opts;
+    opts.threads = threads;
+    const auto top = ld_top_pairs(g, 20, opts);
     ASSERT_EQ(top.size(), 20u);
     EXPECT_NEAR(top.front().value, 1.0, 1e-12);
     for (std::size_t r = 0; r < top.size(); ++r) {

@@ -25,7 +25,6 @@
 #include "core/gemm/syrk.hpp"
 #include "core/ld.hpp"
 #include "core/ld_stream.hpp"
-#include "core/parallel.hpp"
 #include "sim/rng.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -319,11 +318,12 @@ TEST_F(TraceSpans, SessionEventsNestExactlyOnceUnderParallelDrivers) {
   LdOptions opts;
   opts.gemm = small_blocking(KernelArch::kScalar);
   opts.slab_rows = 24;
+  opts.threads = 2;
 
   trace::start_session("test_trace_nesting");
   ASSERT_TRUE(trace::session_active());
   const trace::TraceSnapshot before = trace::snapshot();
-  const LdMatrix out = ld_matrix_parallel(g, opts, 2);
+  const LdMatrix out = ld_matrix(g, opts);
   const trace::TraceSnapshot d = trace::snapshot().since(before);
   const std::vector<trace::TraceEvent> events = trace::session_events();
   trace::cancel_session();

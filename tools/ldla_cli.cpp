@@ -133,7 +133,7 @@ int cmd_compute(int argc, const char* const* argv) {
   }
   LdOptions opts;
   opts.stat = parse_stat(args.str("stat"));
-  const auto threads = static_cast<unsigned>(args.count("threads"));
+  opts.threads = static_cast<unsigned>(args.count("threads"));
   const std::size_t k = args.count("top");
 
   const LoadedDataset data = load_dataset(args.positional().front());
@@ -141,7 +141,7 @@ int cmd_compute(int argc, const char* const* argv) {
               data.genotypes.samples(), cpu_summary().c_str());
 
   Timer timer;
-  const auto top = ld_top_pairs(data.genotypes, k, opts, threads);
+  const auto top = ld_top_pairs(data.genotypes, k, opts);
   const double seconds = timer.seconds();
   const std::uint64_t pairs = ld_pair_count(data.genotypes.snps());
   std::printf("%llu %s values in %.3f s (%.2f Mpairs/s)\n",
@@ -151,8 +151,7 @@ int cmd_compute(int argc, const char* const* argv) {
 
   // Only the CSV needs the n x n matrix; the ranked list never does.
   if (const std::string out = args.str("matrix-out"); !out.empty()) {
-    write_matrix_csv_file(out, ld_matrix_parallel(data.genotypes, opts,
-                                                  threads));
+    write_matrix_csv_file(out, ld_matrix(data.genotypes, opts));
     std::printf("matrix written to %s\n", out.c_str());
   }
   write_top_pairs(std::cout, top, ld_statistic_name(opts.stat));
@@ -234,7 +233,8 @@ int cmd_cross(int argc, const char* const* argv) {
     throw Error("cross: need exactly two input files");
   }
   const std::size_t k = args.count("top");
-  const auto threads = static_cast<unsigned>(args.count("threads"));
+  LdOptions opts;
+  opts.threads = static_cast<unsigned>(args.count("threads"));
 
   const LoadedDataset a = load_dataset(args.positional()[0]);
   const LoadedDataset b = load_dataset(args.positional()[1]);
@@ -242,8 +242,7 @@ int cmd_cross(int argc, const char* const* argv) {
               a.genotypes.snps(), b.genotypes.snps(), a.genotypes.samples());
 
   Timer timer;
-  const auto top =
-      ld_cross_top_pairs(a.genotypes, b.genotypes, k, {}, threads);
+  const auto top = ld_cross_top_pairs(a.genotypes, b.genotypes, k, opts);
   std::printf("%zu cross-LD values in %.3f s\n\n",
               a.genotypes.snps() * b.genotypes.snps(), timer.seconds());
 

@@ -296,8 +296,6 @@ PUBLIC_API = {
         ("ld_cross_scan", "expect"),
         ("ld_stat_scan", "expect"),
         ("ld_cross_stat_scan", "expect"),
-        ("ld_scan_parallel", "expect"),
-        ("ld_cross_scan_parallel", "expect"),
         ("ld_top_pairs", "expect"),
         ("ld_cross_top_pairs", "expect"),
     ],
@@ -312,10 +310,7 @@ PUBLIC_API = {
         ("omega_max", "expect"),
         ("window_r2", "expect"),
     ],
-    "src/omega/sweep_scan.cpp": [
-        ("omega_scan", "expect"),
-        ("omega_scan_parallel", "expect"),
-    ],
+    "src/omega/sweep_scan.cpp": [("omega_scan", "expect")],
     "src/util/partition.cpp": [
         ("split_uniform", "expect"),
         ("split_triangle_rows", "expect"),
