@@ -13,6 +13,12 @@
 //       (< 30% with prefetch on), because compute of pair k hides the
 //       fetch of pair k+1.
 //
+// A fourth arm streams into a TileStoreWriter (the writer is the visitor,
+// with no outer lock) at 1 and 4 threads and reports tiles, the time
+// inside add()/close(), the write rate against a page-cache write ceiling
+// (the same bytes written in 1 MiB blocks), and wall; the re-read store
+// must carry the in-RAM checksum.
+//
 // Results are XOR-checksummed over the value bit patterns: both drivers
 // emit every canonical pair exactly once and are bit-identical by
 // contract, and XOR is order-independent, so the checksums must match
@@ -20,6 +26,7 @@
 #include "bench_common.hpp"
 
 #include <cstring>
+#include <fstream>
 
 using namespace ldla;
 using namespace ldla::bench;
@@ -56,6 +63,70 @@ std::uint64_t xor_tile(const LdTile& t) {
   return acc;
 }
 
+/// One stream into a tile store at `threads`.
+struct WriteArm {
+  double wall_s = 0.0;
+  double write_s = 0.0;  ///< inside add()/close(), summed over callers
+  std::size_t tiles = 0;
+  std::uint64_t payload_bytes = 0;
+};
+
+WriteArm stream_to_tile_store(ShardStore& store, const std::string& path,
+                              std::size_t budget, unsigned threads) {
+  StreamOptions sopts;
+  sopts.cache_bytes = budget;
+  sopts.threads = threads;
+  WriteArm r;
+  Mutex mu;
+  double add_s = 0.0;  // summed under mu: team workers add concurrently
+  Timer wall;
+  TileStoreWriter writer(path, sopts.stat, store.snps(), store.snps());
+  ld_matrix_stream(store,
+                   [&](const LdTile& t) {
+                     const Timer call;
+                     writer.add(t);
+                     const double s = call.seconds();
+                     const MutexLock lock(mu);
+                     add_s += s;
+                   },
+                   sopts);
+  const Timer call;
+  writer.close();
+  r.wall_s = wall.seconds();
+  r.write_s = add_s + call.seconds();
+  r.tiles = writer.tiles();
+  r.payload_bytes = writer.payload_bytes();
+  return r;
+}
+
+/// XOR checksum of every tile of the store at `path`, as xor_tile.
+std::uint64_t tile_store_checksum(const std::string& path) {
+  TileStoreReader reader(path);
+  std::uint64_t sum = 0;
+  for (std::size_t t = 0; t < reader.tiles(); ++t) {
+    const TileData td = reader.read_tile(t);
+    sum ^= xor_tile(LdTile{td.rec.row_begin, td.rec.col_begin, td.rec.rows,
+                           td.rec.cols, td.values.data(), td.rec.cols});
+  }
+  return sum;
+}
+
+/// Page-cache write ceiling in MB/s: `bytes` written to `path` in 1 MiB
+/// blocks, then the file is removed.
+double pagecache_write_mb_per_s(const std::string& path, std::uint64_t bytes) {
+  const std::vector<char> block(std::size_t{1} << 20, 1);
+  Timer timer;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (std::uint64_t done = 0; done < bytes; done += block.size()) {
+      out.write(block.data(), static_cast<std::streamsize>(block.size()));
+    }
+  }
+  const double s = timer.seconds();
+  std::remove(path.c_str());
+  return static_cast<double>(bytes) / s / 1e6;
+}
+
 std::string mib(double bytes) {
   return fmt_fixed(bytes / (1024.0 * 1024.0), 1) + " MiB";
 }
@@ -80,10 +151,10 @@ int main(int argc, char** argv) {
   GemmConfig cfg;  // kAuto
 
   // ---- ingest (once; the pack cost the store amortizes) ----------------
-  const std::string store_path =
-      std::string(std::getenv("TMPDIR") != nullptr ? std::getenv("TMPDIR")
-                                                   : "/tmp") +
-      "/bench_stream.ldshard";
+  const std::string tmp_dir =
+      std::getenv("TMPDIR") != nullptr ? std::getenv("TMPDIR") : "/tmp";
+  const std::string store_path = tmp_dir + "/bench_stream.ldshard";
+  const std::string tiles_path = tmp_dir + "/bench_stream.ldtile";
   Timer ingest_timer;
   write_shard_store(store_path, g.view(), cfg, rows_per_shard);
   const double ingest_seconds = ingest_timer.seconds();
@@ -147,6 +218,25 @@ int main(int argc, char** argv) {
     return r;
   });
 
+  // ---- arm 3: streamed into a tile store at 1 and 4 threads --------------
+  std::vector<std::pair<unsigned, WriteArm>> writes;
+  for (const unsigned threads : {1u, 4u}) {
+    WriteArm best;
+    for (int t = 0; t < trials; ++t) {
+      const WriteArm r = stream_to_tile_store(store, tiles_path, budget,
+                                              threads);
+      if (t == 0 || r.wall_s < best.wall_s) best = r;
+    }
+    if (tile_store_checksum(tiles_path) != in_ram.checksum) {
+      std::printf("TILE STORE CHECKSUM MISMATCH (%u threads)\n", threads);
+      rc = 1;
+    }
+    std::remove(tiles_path.c_str());
+    writes.emplace_back(threads, best);
+  }
+  const double pagecache_mb_per_s = pagecache_write_mb_per_s(
+      tiles_path, writes.front().second.payload_bytes);
+
   // Take one deterministic sample while a shard is provably materialized,
   // so the mincore gauge in the export reflects live residency rather than
   // whatever the last periodic tick happened to catch post-eviction.
@@ -189,13 +279,33 @@ int main(int argc, char** argv) {
   json.add("stream-budget", "auto", n, k, streamed.seconds,
            pairs / streamed.seconds, -1.0, streamed.phases);
   json.annotate_last_metrics(metrics::render_json());
+  for (const auto& [threads, w] : writes) {
+    const double mb_per_s =
+        static_cast<double>(w.payload_bytes) / w.write_s / 1e6;
+    json.add("tile-write-t" + std::to_string(threads), "auto", n, k, w.wall_s,
+             pairs / w.wall_s);
+    json.add_last_field("tiles", static_cast<double>(w.tiles));
+    json.add_last_field("write_s", w.write_s);
+    json.add_last_field("write_mb_per_s", mb_per_s);
+    json.add_last_field("pagecache_write_mb_per_s", pagecache_mb_per_s);
+    json.add_last_field("write_frac_of_pagecache",
+                        mb_per_s / pagecache_mb_per_s);
+    json.add_last_field("wall_s", w.wall_s);
+  }
   table.add_row({"in-RAM ld_stat_scan", fmt_fixed(in_ram.seconds, 3), "-",
                  "-"});
   table.add_row({"ld_matrix_stream",
                  fmt_fixed(streamed.seconds, 3),
                  mib(static_cast<double>(streamed.peak_resident)),
                  fmt_fixed(io_self, 3)});
+  for (const auto& [threads, w] : writes) {
+    table.add_row({"stream -> TileStoreWriter, " + std::to_string(threads) +
+                       "t (" + std::to_string(w.tiles) + " tiles, write " +
+                       fmt_fixed(w.write_s, 3) + " s)",
+                   fmt_fixed(w.wall_s, 3), "-", "-"});
+  }
   std::fputs(table.str().c_str(), stdout);
+  std::printf("page-cache write ceiling: %.0f MB/s\n", pagecache_mb_per_s);
   std::printf(
       "\nstream/in-RAM wall: %.2fx (budget %s, io %.1f%% of wall, "
       "%llu issued / %llu hits / %llu stalls)\n"

@@ -189,9 +189,11 @@ class TileScratch {
 /// whose rows start at SNP `row_base` of `ta` and whose columns start at
 /// SNP `col_base` of `tb` is converted in `scratch` and handed to `visit`
 /// as an LdTile in those global indices. A symmetric block (the diagonal,
-/// row_base == col_base) passes tiles on or below the diagonal whole and
-/// emits diagonal-crossing tiles as canonical per-row fragments, so no
-/// above-diagonal entry ever escapes.
+/// row_base == col_base) passes tiles on or below the diagonal whole; of a
+/// diagonal-crossing tile it emits the rows wholly on or below the
+/// diagonal as one tile and only the at most cols - 1 rows the diagonal
+/// cuts as canonical one-row fragments, so no above-diagonal entry ever
+/// escapes.
 inline CountTileSink stat_tile_emitter(LdStatistic stat, const StatTables& ta,
                                        std::size_t row_base,
                                        const StatTables& tb,
@@ -201,33 +203,39 @@ inline CountTileSink stat_tile_emitter(LdStatistic stat, const StatTables& ta,
   return [=, &ta, &tb, &scratch, &visit](const CountTile& t) {
     double* values = scratch.get();
     const std::size_t c0 = col_base + t.col_begin;
-    if (!symmetric || t.col_begin + t.cols <= t.row_begin + 1) {
-      const std::size_t r0 = row_base + t.row_begin;
-      {
-        LDLA_TRACE_SPAN(kEpilogue);
-        for (std::size_t i = 0; i < t.rows; ++i) {
-          stat_row_cross_shifted(stat, ta, r0 + i, tb, c0, t.row(i), t.cols,
-                                 &values[i * t.cols]);
-        }
-        metrics::pipeline().epilogue_rows.add(t.rows);
-      }
-      visit(LdTile{r0, c0, t.rows, t.cols, values, t.cols});
-      return;
-    }
-    // The span covers the interleaved visits too — fragment rows are tiny.
-    LDLA_TRACE_SPAN(kEpilogue);
+    // Local rows [0, whole) meet the diagonal; rows [whole, t.rows) lie on
+    // or below it across the whole tile (li >= col_begin + cols - 1).
+    const std::size_t diag_row = t.col_begin + t.cols - 1;
+    const std::size_t whole =
+        !symmetric || diag_row <= t.row_begin
+            ? 0
+            : std::min(t.rows, diag_row - t.row_begin);
     std::uint64_t rows_converted = 0;
-    for (std::size_t i = 0; i < t.rows; ++i) {
-      const std::size_t li = t.row_begin + i;
-      if (li < t.col_begin) continue;
-      const std::size_t width =
-          std::min(t.col_begin + t.cols, li + 1) - t.col_begin;
-      stat_row_cross_shifted(stat, ta, row_base + li, tb, c0, t.row(i), width,
-                             values);
-      ++rows_converted;
-      visit(LdTile{row_base + li, c0, 1, width, values, width});
+    {
+      // The span covers the interleaved fragment visits too — they are
+      // tiny.
+      LDLA_TRACE_SPAN(kEpilogue);
+      for (std::size_t i = 0; i < whole; ++i) {
+        const std::size_t li = t.row_begin + i;
+        if (li < t.col_begin) continue;
+        const std::size_t width = li + 1 - t.col_begin;
+        stat_row_cross_shifted(stat, ta, row_base + li, tb, c0, t.row(i),
+                               width, values);
+        ++rows_converted;
+        visit(LdTile{row_base + li, c0, 1, width, values, width});
+      }
+      for (std::size_t i = whole; i < t.rows; ++i) {
+        stat_row_cross_shifted(stat, ta, row_base + t.row_begin + i, tb, c0,
+                               t.row(i), t.cols,
+                               &values[(i - whole) * t.cols]);
+      }
+      rows_converted += t.rows - whole;
+      metrics::pipeline().epilogue_rows.add(rows_converted);
     }
-    metrics::pipeline().epilogue_rows.add(rows_converted);
+    if (whole < t.rows) {
+      visit(LdTile{row_base + t.row_begin + whole, c0, t.rows - whole, t.cols,
+                   values, t.cols});
+    }
   };
 }
 

@@ -179,14 +179,16 @@ void ld_cross_scan(const BitMatrix& a, const BitMatrix& b,
 /// valid only for the duration of the call, and — unlike the slab scans —
 /// total resident memory is O(mc·nc) per thread, independent of n. With a
 /// team (threads != 1) the visitor is called CONCURRENTLY; tiles stay
-/// disjoint, so a visitor writing disjoint output ranges needs no lock.
+/// disjoint, so a visitor writing disjoint output ranges needs no lock,
+/// and TileStoreWriter::add (io/tile_store.hpp) can be the visitor as is.
 using LdStatTileVisitor = std::function<void(const LdTile&)>;
 
 /// Lowest-memory streaming all-pairs LD: emits stat tiles directly from
 /// the fused epilogue, covering every canonical pair (j <= i, including
-/// the diagonal) exactly once and emitting no other entries. Diagonal-
-/// crossing cache tiles are delivered as per-row fragments so every
-/// emitted value is valid.
+/// the diagonal) exactly once and emitting no other entries. Of a
+/// diagonal-crossing cache tile, the rows wholly on or below the diagonal
+/// arrive as one tile and only the at most cols - 1 rows the diagonal cuts
+/// arrive as one-row fragments, so every emitted value is valid.
 void ld_stat_scan(const BitMatrix& g, const LdStatTileVisitor& visit,
                   const LdOptions& opts = {});
 

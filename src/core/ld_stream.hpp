@@ -7,7 +7,10 @@
 // epilogue arithmetic as core/ld.cpp over GLOBAL StatTables built from the
 // shards' persisted popcounts — so the streamed tiles are bit-identical to
 // an all-in-RAM ld_stat_scan of the same matrix, config and arch; only the
-// tile geometry differs.
+// tile geometry differs. A diagonal pair emits what ld_stat_scan's
+// emitter does: tiles below the diagonal whole, and of a diagonal-crossing
+// tile the rows wholly on or below the diagonal as one tile plus at most
+// cols - 1 one-row fragments on the crossing band.
 //
 // Overlap: with threads == 1 (default) each pair's compute runs as one of
 // two tasks on the work-stealing global_pool() while the second task
@@ -47,7 +50,8 @@ struct StreamOptions {
   /// 1 = team-of-one count nest with the overlapped-io double buffer;
   /// > 1 (or 0 = default_thread_count()) = a count-nest team, with
   /// the visitor called CONCURRENTLY (tiles stay disjoint — a visitor
-  /// writing disjoint output ranges needs no lock).
+  /// writing disjoint output ranges needs no lock, and a TileStoreWriter
+  /// takes add() calls from every worker without an outer lock).
   unsigned threads = 1;
 };
 

@@ -1,7 +1,9 @@
 #include "io/tile_store.hpp"
 
+#include <bit>
+#include <cstdio>
 #include <cstring>
-#include <limits>
+#include <type_traits>
 
 #include "util/contract.hpp"
 #include "util/metrics.hpp"
@@ -23,12 +25,6 @@ constexpr std::size_t kFooterBytes = 2 * 8 + sizeof(kFootMagic);
   throw ParseError("tile store: " + what);
 }
 
-void put_u64(std::ostream& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, sizeof(v));
-  out.write(buf, sizeof(buf));
-}
-
 std::uint64_t get_u64(std::istream& in) {
   char buf[8];
   in.read(buf, sizeof(buf));
@@ -37,28 +33,53 @@ std::uint64_t get_u64(std::istream& in) {
   return v;
 }
 
-/// XOR-encode `n` doubles into `enc`: per value, one control byte holding
+void put_u64(std::uint8_t*& p, std::uint64_t v) {
+  std::memcpy(p, &v, sizeof(v));
+  p += sizeof(v);
+}
+
+// The index is the in-memory record array verbatim: seven host-order u64s
+// per tile, in field order.
+static_assert(sizeof(TileRecord) == kRecordBytes &&
+                  std::is_standard_layout_v<TileRecord> &&
+                  std::is_trivially_copyable_v<TileRecord>,
+              "TileRecord must be the on-disk index record");
+
+// Payload goes to the file in writes of up to this many bytes; a tile at
+// least this large skips the buffer.
+constexpr std::size_t kStageBytes = std::size_t{1} << 20;
+
+/// Bytes the XOR encoder may touch for `n` values: it stores all eight
+/// residual bytes after each control byte and advances past the
+/// significant ones only, so the last value needs 9 bytes of room.
+constexpr std::size_t xor_bound(std::size_t n) { return 9 * n; }
+
+/// XOR-encode the tile row-major into `enc` (at least xor_bound(cells)
+/// bytes) and return the encoded size: per value, one control byte holding
 /// the count of significant low-order bytes of (bits ^ prev), then exactly
-/// those bytes. prev starts at 0 so the block is self-contained.
-void xor_encode(const double* v, std::size_t n,
-                std::vector<std::uint8_t>& enc) {
-  enc.clear();
-  enc.reserve(n * 9);
+/// those bytes, little-endian. prev starts at 0 so the tile decodes alone.
+std::size_t xor_encode(const LdTile& t, std::uint8_t* enc) {
+  static_assert(std::endian::native == std::endian::little,
+                "the word store writes residual bytes in memory order");
+  std::uint8_t* p = enc;
   std::uint64_t prev = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v[k], sizeof(bits));
-    const std::uint64_t delta = bits ^ prev;
-    prev = bits;
-    std::uint8_t sig = 8;
-    while (sig > 0 && (delta >> ((sig - 1) * 8)) == 0) {
-      --sig;
-    }
-    enc.push_back(sig);
-    for (std::uint8_t b = 0; b < sig; ++b) {
-      enc.push_back(static_cast<std::uint8_t>(delta >> (b * 8)));
+  for (std::size_t i = 0; i < t.rows; ++i) {
+    const double* row = t.values + i * t.ld;
+    for (std::size_t j = 0; j < t.cols; ++j) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &row[j], sizeof(bits));
+      const std::uint64_t delta = bits ^ prev;
+      prev = bits;
+      // Bytes up to the highest non-zero one: 0 for delta == 0, 8 when the
+      // top byte is set.
+      const unsigned sig = (71u - static_cast<unsigned>(
+                                      std::countl_zero(delta))) >> 3;
+      p[0] = static_cast<std::uint8_t>(sig);
+      std::memcpy(p + 1, &delta, sizeof(delta));
+      p += 1 + sig;
     }
   }
+  return static_cast<std::size_t>(p - enc);
 }
 
 void xor_decode(const std::uint8_t* enc, std::size_t bytes, double* v,
@@ -84,62 +105,69 @@ void xor_decode(const std::uint8_t* enc, std::size_t bytes, double* v,
 TileStoreWriter::TileStoreWriter(const std::string& path, LdStatistic stat,
                                  std::size_t matrix_rows,
                                  std::size_t matrix_cols, TileCodec codec)
-    : out_(path, std::ios::binary | std::ios::trunc),
-      path_(path),
-      codec_(codec) {
-  if (!out_) throw Error("tile store: cannot create " + path);
-  out_.write(reinterpret_cast<const char*>(kMagic), sizeof(kMagic));
-  put_u64(out_, static_cast<std::uint64_t>(stat));
-  put_u64(out_, matrix_rows);
-  put_u64(out_, matrix_cols);
-  put_u64(out_, static_cast<std::uint64_t>(codec));
+    : path_(path), tmp_path_(path + ".tmp"), codec_(codec) {
+  MutexLock lock(mu_);
+  out_.open(tmp_path_, std::ios::binary | std::ios::trunc);
+  if (!out_) throw Error("tile store: cannot create " + tmp_path_);
+  stage_.reserve(kStageBytes);
+  std::uint8_t header[kHeaderBytes];
+  std::memcpy(header, kMagic, sizeof(kMagic));
+  std::uint8_t* p = header + sizeof(kMagic);
+  put_u64(p, static_cast<std::uint64_t>(stat));
+  put_u64(p, matrix_rows);
+  put_u64(p, matrix_cols);
+  put_u64(p, static_cast<std::uint64_t>(codec));
+  append(header, sizeof(header));
 }
 
 TileStoreWriter::~TileStoreWriter() {
-  try {
-    close();
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-    // Destructor path: the file is left without a footer, which the
-    // reader reports as truncated — the recoverable outcome.
-  }
+  MutexLock lock(mu_);
+  if (published_) return;
+  // Abandoned (no successful close()): the partial store never reaches
+  // path_, so a reader can only find a complete store there.
+  out_.close();
+  std::remove(tmp_path_.c_str());
 }
 
 void TileStoreWriter::add(const LdTile& t) {
-  LDLA_EXPECT(!closed_, "tile store already closed");
+  const std::size_t cells = t.rows * t.cols;
+  // Encode outside the lock, into this thread's scratch: grown to the
+  // largest tile the thread has written and reused, except that a tile
+  // too large for the staging buffer gets a buffer of its own, so a pool
+  // thread never keeps more than kStageBytes of it.
+  const std::size_t bound =
+      codec_ == TileCodec::kRaw ? cells * sizeof(double) : xor_bound(cells);
+  thread_local std::vector<std::uint8_t> scratch;
+  std::vector<std::uint8_t> own;
+  std::vector<std::uint8_t>& enc = bound <= kStageBytes ? scratch : own;
+  if (enc.size() < bound) enc.resize(bound);
+  std::size_t bytes = 0;
+  if (codec_ == TileCodec::kRaw) {
+    for (std::size_t i = 0; i < t.rows; ++i) {
+      std::memcpy(enc.data() + i * t.cols * sizeof(double),
+                  t.values + i * t.ld, t.cols * sizeof(double));
+    }
+    bytes = cells * sizeof(double);
+  } else {
+    bytes = xor_encode(t, enc.data());
+  }
+
   TileRecord rec;
   rec.row_begin = t.row_begin;
   rec.col_begin = t.col_begin;
   rec.rows = t.rows;
   rec.cols = t.cols;
-  rec.offset = static_cast<std::uint64_t>(out_.tellp());
-  rec.raw_bytes = static_cast<std::uint64_t>(t.rows) * t.cols * 8;
-
-  if (codec_ == TileCodec::kRaw) {
-    rec.bytes = rec.raw_bytes;
-    for (std::size_t i = 0; i < t.rows; ++i) {
-      out_.write(reinterpret_cast<const char*>(t.values + i * t.ld),
-                 static_cast<std::streamsize>(t.cols * 8));
-    }
-  } else {
-    // Pack the (possibly ld-strided) tile row-major, then XOR-encode.
-    std::vector<double> dense;
-    const double* src = t.values;
-    if (t.ld != t.cols && t.rows > 1) {
-      dense.resize(static_cast<std::size_t>(t.rows) * t.cols);
-      for (std::size_t i = 0; i < t.rows; ++i) {
-        std::memcpy(dense.data() + i * t.cols, t.values + i * t.ld,
-                    t.cols * 8);
-      }
-      src = dense.data();
-    }
-    xor_encode(src, static_cast<std::size_t>(t.rows) * t.cols, scratch_);
-    rec.bytes = scratch_.size();
-    out_.write(reinterpret_cast<const char*>(scratch_.data()),
-               static_cast<std::streamsize>(scratch_.size()));
+  rec.bytes = bytes;
+  rec.raw_bytes = static_cast<std::uint64_t>(cells) * sizeof(double);
+  {
+    MutexLock lock(mu_);
+    LDLA_EXPECT(!closing_, "tile store already closed");
+    rec.offset = file_bytes_;
+    append(enc.data(), bytes);
+    payload_bytes_ += rec.bytes;
+    raw_bytes_ += rec.raw_bytes;
+    index_.push_back(rec);
   }
-  payload_bytes_ += rec.bytes;
-  raw_bytes_ += rec.raw_bytes;
-  index_.push_back(rec);
   static metrics::Counter& c_tiles = metrics::counter(
       "ldla_tiles_written_total", "stat tiles written to tile stores");
   static metrics::Counter& c_payload = metrics::counter(
@@ -153,25 +181,62 @@ void TileStoreWriter::add(const LdTile& t) {
   c_raw.add(rec.raw_bytes);
 }
 
-void TileStoreWriter::close() {
-  if (closed_) return;
-  closed_ = true;
-  const std::uint64_t index_off = static_cast<std::uint64_t>(out_.tellp());
-  for (const TileRecord& rec : index_) {
-    put_u64(out_, rec.row_begin);
-    put_u64(out_, rec.col_begin);
-    put_u64(out_, rec.rows);
-    put_u64(out_, rec.cols);
-    put_u64(out_, rec.offset);
-    put_u64(out_, rec.bytes);
-    put_u64(out_, rec.raw_bytes);
+void TileStoreWriter::write_out(const void* bytes, std::size_t n) {
+  out_.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(n));
+  if (!out_) throw Error("tile store: write failed for " + tmp_path_);
+}
+
+void TileStoreWriter::flush_stage() {
+  if (stage_.empty()) return;
+  write_out(stage_.data(), stage_.size());
+  stage_.clear();
+}
+
+void TileStoreWriter::append(const std::uint8_t* bytes, std::size_t n) {
+  if (stage_.size() + n > kStageBytes) flush_stage();
+  if (n >= kStageBytes) {
+    write_out(bytes, n);
+  } else {
+    stage_.insert(stage_.end(), bytes, bytes + n);
   }
-  put_u64(out_, index_off);
-  put_u64(out_, index_.size());
-  out_.write(reinterpret_cast<const char*>(kFootMagic), sizeof(kFootMagic));
-  out_.flush();
-  if (!out_) throw Error("tile store: write failed for " + path_);
+  file_bytes_ += n;
+}
+
+void TileStoreWriter::close() {
+  MutexLock lock(mu_);
+  if (published_) return;
+  LDLA_EXPECT(!closing_, "tile store close() already failed");
+  closing_ = true;
+  const std::uint64_t index_off = file_bytes_;
+  flush_stage();
+  write_out(index_.data(), index_.size() * kRecordBytes);
+  std::uint8_t footer[kFooterBytes];
+  std::uint8_t* p = footer;
+  put_u64(p, index_off);
+  put_u64(p, index_.size());
+  std::memcpy(p, kFootMagic, sizeof(kFootMagic));
+  write_out(footer, sizeof(footer));
   out_.close();
+  if (!out_) throw Error("tile store: write failed for " + tmp_path_);
+  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
+    throw Error("tile store: cannot rename " + tmp_path_ + " to " + path_);
+  }
+  published_ = true;
+}
+
+std::size_t TileStoreWriter::tiles() const {
+  MutexLock lock(mu_);
+  return index_.size();
+}
+
+std::uint64_t TileStoreWriter::payload_bytes() const {
+  MutexLock lock(mu_);
+  return payload_bytes_;
+}
+
+std::uint64_t TileStoreWriter::raw_bytes() const {
+  MutexLock lock(mu_);
+  return raw_bytes_;
 }
 
 TileStoreReader::TileStoreReader(const std::string& path)
@@ -214,14 +279,10 @@ TileStoreReader::TileStoreReader(const std::string& path)
 
   in_.seekg(static_cast<std::streamoff>(index_off));
   index_.resize(count);
-  for (TileRecord& rec : index_) {
-    rec.row_begin = get_u64(in_);
-    rec.col_begin = get_u64(in_);
-    rec.rows = get_u64(in_);
-    rec.cols = get_u64(in_);
-    rec.offset = get_u64(in_);
-    rec.bytes = get_u64(in_);
-    rec.raw_bytes = get_u64(in_);
+  in_.read(reinterpret_cast<char*>(index_.data()),
+           static_cast<std::streamsize>(count * kRecordBytes));
+  if (!in_) bad("index read failed");
+  for (const TileRecord& rec : index_) {
     if (rec.rows == 0 || rec.cols == 0) bad("empty tile record");
     if (rec.rows > rows_ || rec.row_begin > rows_ - rec.rows ||
         rec.cols > cols_ || rec.col_begin > cols_ - rec.cols) {
@@ -238,7 +299,6 @@ TileStoreReader::TileStoreReader(const std::string& path)
       bad("raw tile with mismatched payload size");
     }
   }
-  if (!in_) bad("index read failed");
 }
 
 const TileRecord& TileStoreReader::record(std::size_t t) const {

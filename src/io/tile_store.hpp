@@ -3,8 +3,9 @@
 // The streaming drivers (core/ld_stream.hpp) emit statistic tiles straight
 // out of the fused epilogue; for chromosome-scale panels the full matrix
 // never fits in RAM, so the tiles go to disk as they are produced:
-// append-only payload, then a fixed-record index and a footer, so a writer
-// crash loses the index but never corrupts earlier payload, and a reader
+// append-only payload, then a fixed-record index and a footer. The file is
+// written under a temp name and renamed onto the store path only once the
+// footer is down, so a store at that path is always complete; a reader
 // seeks any tile in one index lookup — random (i, j) -> value access
 // without decoding anything but the owning tile.
 //
@@ -26,6 +27,8 @@
 #include <vector>
 
 #include "core/ld.hpp"
+#include "util/annotations.hpp"
+#include "util/sync.hpp"
 
 namespace ldla {
 
@@ -59,8 +62,14 @@ struct TileData {
 };
 
 /// Append-only tile writer. Feed it the streaming driver's tiles (it is
-/// a valid LdStatTileVisitor body); close() writes index + footer.
-/// NOT thread-safe: nest-mode streams must serialize add() calls.
+/// a valid LdStatTileVisitor body, also for a team-mode stream: add() may
+/// be called concurrently). Each add() encodes on the calling thread, then
+/// reserves the tile's payload offset and index slot and appends the bytes
+/// to one bounded staging buffer under the writer's lock; the buffer goes
+/// to the file in large writes. The store is built under `<path>.tmp` and
+/// published at `path` (rename) only by close(): a writer destroyed
+/// without close() — a stream that threw halfway — removes its temp file
+/// and leaves whatever was at `path` untouched.
 class TileStoreWriter {
  public:
   TileStoreWriter(const std::string& path, LdStatistic stat,
@@ -71,32 +80,40 @@ class TileStoreWriter {
   TileStoreWriter& operator=(const TileStoreWriter&) = delete;
 
   /// Encode and append one tile (values read through the tile's `ld`).
+  /// Safe to call concurrently; the file order of tiles is the order in
+  /// which callers took the lock.
   void add(const LdTile& t);
 
-  /// Write the index and footer and close the file. Idempotent; called by
-  /// the destructor if not called explicitly (errors are swallowed there —
-  /// call close() yourself when you care).
+  /// Write the index and footer, close the file and rename it onto the
+  /// store path. Idempotent once it has succeeded; throws Error when a
+  /// write or the rename fails (the temp file is removed on destruction).
   void close();
 
-  [[nodiscard]] std::size_t tiles() const noexcept { return index_.size(); }
-  [[nodiscard]] std::uint64_t payload_bytes() const noexcept {
-    return payload_bytes_;
-  }
-  [[nodiscard]] std::uint64_t raw_bytes() const noexcept { return raw_bytes_; }
+  [[nodiscard]] std::size_t tiles() const;
+  [[nodiscard]] std::uint64_t payload_bytes() const;
+  [[nodiscard]] std::uint64_t raw_bytes() const;
 
  private:
-  std::ofstream out_;
+  void append(const std::uint8_t* bytes, std::size_t n) LDLA_REQUIRES(mu_);
+  void flush_stage() LDLA_REQUIRES(mu_);
+  void write_out(const void* bytes, std::size_t n) LDLA_REQUIRES(mu_);
+
   std::string path_;
+  std::string tmp_path_;
   TileCodec codec_;
-  std::vector<TileRecord> index_;
-  std::vector<std::uint8_t> scratch_;
-  std::uint64_t payload_bytes_ = 0;
-  std::uint64_t raw_bytes_ = 0;
-  bool closed_ = false;
+  mutable Mutex mu_;
+  std::ofstream out_ LDLA_GUARDED_BY(mu_);
+  std::vector<std::uint8_t> stage_ LDLA_GUARDED_BY(mu_);
+  std::vector<TileRecord> index_ LDLA_GUARDED_BY(mu_);
+  std::uint64_t file_bytes_ LDLA_GUARDED_BY(mu_) = 0;  ///< flushed + staged
+  std::uint64_t payload_bytes_ LDLA_GUARDED_BY(mu_) = 0;
+  std::uint64_t raw_bytes_ LDLA_GUARDED_BY(mu_) = 0;
+  bool closing_ LDLA_GUARDED_BY(mu_) = false;    ///< close() was entered
+  bool published_ LDLA_GUARDED_BY(mu_) = false;  ///< renamed onto path_
 };
 
 /// Random-access tile reader. The whole index is loaded at open (56 bytes
-/// per tile); payloads are read and decoded per request.
+/// per tile, one read); payloads are read and decoded per request.
 class TileStoreReader {
  public:
   explicit TileStoreReader(const std::string& path);

@@ -172,6 +172,7 @@ struct alignas(64) Slot {
   std::vector<TraceEvent> events;
   std::uint64_t events_epoch = 0;
   std::uint64_t events_dropped = 0;
+  std::uint64_t last_event_end = 0;  ///< latest end of an appended event
 };
 
 Slot g_slots[kMaxSlots];
@@ -214,6 +215,7 @@ void append_event(Slot* s, Phase phase, std::uint64_t t0, std::uint64_t dur) {
     s->events_epoch = epoch;
     s->events_dropped = 0;
   }
+  s->last_event_end = std::max(s->last_event_end, t0 + dur);
   if (s->events.size() >= kMaxEventsPerThread) {
     ++s->events_dropped;
     return;
@@ -461,7 +463,12 @@ void task_dequeued(std::uint64_t enqueue_ns) {
       wait, std::memory_order_relaxed);
   if (g_session.load(std::memory_order_acquire) &&
       !s->shared.load(std::memory_order_relaxed)) {
-    append_event(s, Phase::kTaskWait, enqueue_ns, wait);
+    // A task may have queued while this thread ran an earlier one (or
+    // waited for it): draw only the part of the wait after the thread's
+    // last event and inside its open span, so its spans stay laminar.
+    std::uint64_t t0 = std::max(enqueue_ns, s->last_event_end);
+    if (s->depth > 0) t0 = std::max(t0, s->stack[s->depth - 1].t0);
+    append_event(s, Phase::kTaskWait, t0, t1 > t0 ? t1 - t0 : 0);
   }
 }
 

@@ -10,10 +10,12 @@
 // reachable from real bytes.
 #include "io/shard_store.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -559,6 +561,146 @@ TEST(TileStore, ReaderRejectsTruncationAndCorruptPayload) {
   }
   TileStoreReader r(path);
   EXPECT_THROW(r.read_tile(0), ParseError);
+}
+
+
+/// The byte-at-a-time XOR encoder the word-granular one replaced: the
+/// reference for the kXor payload bytes (control byte = count of
+/// significant low-order bytes of bits ^ prev, then those bytes, low byte
+/// first; prev = 0 at the tile start).
+std::vector<std::uint8_t> reference_xor_encode(const LdTile& t) {
+  std::vector<std::uint8_t> enc;
+  std::uint64_t prev = 0;
+  for (std::size_t i = 0; i < t.rows; ++i) {
+    for (std::size_t j = 0; j < t.cols; ++j) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &t.values[i * t.ld + j], sizeof(bits));
+      const std::uint64_t delta = bits ^ prev;
+      prev = bits;
+      std::uint8_t sig = 8;
+      while (sig > 0 && (delta >> ((sig - 1) * 8)) == 0) --sig;
+      enc.push_back(sig);
+      for (std::uint8_t b = 0; b < sig; ++b) {
+        enc.push_back(static_cast<std::uint8_t>(delta >> (b * 8)));
+      }
+    }
+  }
+  return enc;
+}
+
+double from_bits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+TEST(TileStore, XorPayloadMatchesByteLoopEncoder) {
+  // Every residual width from 0 to 8 bytes: signed zeros, NaN payloads,
+  // infinities, denormals, sign flips (top byte set), and runs.
+  const std::vector<std::uint64_t> special = {
+      0x0000000000000000ULL, 0x8000000000000000ULL,  // +0, -0
+      0x7ff8000000000000ULL, 0x7ff8000000000123ULL,  // quiet NaNs
+      0xfff0000000000001ULL, 0x7ff0000000000000ULL,  // signalling NaN, +inf
+      0xfff0000000000000ULL, 0x0000000000000001ULL,  // -inf, min denormal
+      0x000fffffffffffffULL, 0x3ff0000000000000ULL,  // max denormal, 1.0
+      0xbff0000000000000ULL, 0x3ff0000000000000ULL,  // -1.0, 1.0
+      0x3ff0000000000000ULL, 0x3ff0000000000000ULL,  // run
+      0x3fd0000000000001ULL, 0x3fd00000000000ffULL,  // 1- and 2-byte deltas
+      0x3fd0000000ff0000ULL, 0x3fd0ff0000000000ULL,  // 3- and 7-byte deltas
+  };
+  const std::size_t rows = 23, cols = 29;
+  std::vector<double> matrix(rows * cols);
+  Rng rng(7);
+  for (std::size_t k = 0; k < matrix.size(); ++k) {
+    const double r = rng.next_double();
+    if (k < 3 * special.size()) {
+      matrix[k] = from_bits(special[k % special.size()]);
+    } else if (r < 0.4 && k > 0) {
+      matrix[k] = matrix[k - 1];
+    } else {
+      matrix[k] = from_bits(rng.next_u64());
+    }
+  }
+  // Strided views (ld = cols > tile cols), a contiguous full-width tile,
+  // single rows and a single cell.
+  struct Rect {
+    std::size_t r, c, h, w;
+  };
+  const std::vector<Rect> rects = {{0, 0, 7, 5},   {7, 0, 9, 29}, {0, 5, 1, 24},
+                                   {16, 3, 7, 11}, {1, 5, 6, 24}, {22, 28, 1, 1}};
+  const std::string path = temp_path("xor_identity.ldtile");
+  {
+    TileStoreWriter w(path, LdStatistic::kD, rows, cols, TileCodec::kXor);
+    for (const Rect& rc : rects) {
+      w.add(LdTile{rc.r, rc.c, rc.h, rc.w, matrix.data() + rc.r * cols + rc.c,
+                   cols});
+    }
+    w.close();
+  }
+  const std::vector<std::uint8_t> file = read_file(path);
+  TileStoreReader reader(path);
+  ASSERT_EQ(reader.tiles(), rects.size());
+  for (std::size_t t = 0; t < rects.size(); ++t) {
+    const Rect& rc = rects[t];
+    const LdTile view{rc.r, rc.c, rc.h, rc.w,
+                      matrix.data() + rc.r * cols + rc.c, cols};
+    const std::vector<std::uint8_t> want = reference_xor_encode(view);
+    const TileRecord& rec = reader.record(t);
+    ASSERT_EQ(rec.bytes, want.size()) << "tile " << t;
+    ASSERT_LE(rec.offset + rec.bytes, file.size());
+    EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                           file.begin() + static_cast<std::ptrdiff_t>(
+                                              rec.offset)))
+        << "tile " << t << ": payload differs from the byte-loop encoder";
+    const TileData td = reader.read_tile(t);
+    for (std::size_t i = 0; i < rc.h; ++i) {
+      EXPECT_EQ(std::memcmp(&td.values[i * rc.w], view.values + i * cols,
+                            rc.w * sizeof(double)),
+                0)
+          << "tile " << t << " row " << i;
+    }
+  }
+}
+
+TEST(TileStore, AbandonedWriterPublishesNothing) {
+  const std::string path = temp_path("abandoned.ldtile");
+  std::remove(path.c_str());
+  const BitMatrix g = random_matrix(40, 150, 3);
+  GemmConfig cfg;
+  cfg.mc = 8;
+  cfg.nc = 8;
+  LdOptions opts;
+  opts.gemm = cfg;
+  // A visitor that throws after 5 tiles: the writer unwinds without close().
+  const auto abandon = [&] {
+    TileStoreWriter w(path, LdStatistic::kRSquared, g.snps(), g.snps());
+    std::size_t seen = 0;
+    ld_stat_scan(
+        g,
+        [&](const LdTile& t) {
+          if (seen++ == 5) throw std::runtime_error("consumer failed");
+          w.add(t);
+        },
+        opts);
+    w.close();
+  };
+  EXPECT_THROW(abandon(), std::runtime_error);
+  EXPECT_FALSE(std::ifstream(path).good()) << "partial store published";
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good()) << "temp file left";
+
+  // A complete store already at the path survives an abandoned rewrite.
+  std::vector<double> vals(12, 0.5);
+  {
+    TileStoreWriter w(path, LdStatistic::kRSquared, 3, 4);
+    w.add(LdTile{0, 0, 3, 4, vals.data(), 4});
+    w.close();
+  }
+  const std::vector<std::uint8_t> before = read_file(path);
+  EXPECT_THROW(abandon(), std::runtime_error);
+  EXPECT_EQ(read_file(path), before);
+  TileStoreReader r(path);
+  EXPECT_EQ(r.tiles(), 1u);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 }
 
 }  // namespace

@@ -11,16 +11,20 @@
 #include "core/ld_stream.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/naive.hpp"
 #include "core/band.hpp"
+#include "core/detail/ld_stats_row.hpp"
 #include "core/genotype_ld.hpp"
 #include "core/ld.hpp"
 #include "core/missing.hpp"
+#include "io/tile_store.hpp"
 #include "sim/rng.hpp"
 #include "util/contract.hpp"
 #include "util/sync.hpp"
@@ -320,6 +324,134 @@ TEST(StreamContracts, ScansRejectNullVisitor) {
     EXPECT_THROW(
         genotype_ld_scan(GenotypeMatrix::from_haplotypes(g), nullptr),
         ContractViolation);
+  }
+}
+
+
+/// The tile geometry one count tile of a diagonal block produced.
+struct Emitted {
+  std::size_t row_begin, col_begin, rows, cols;
+};
+
+// The stat-tile emitter on a symmetric block, driven by the SYRK nest at a
+// team of one (mc x nc cache tiles) and of four (nr-wide chunks, so most
+// count tiles cross the diagonal with rows wholly below it): every tile is
+// canonical, the tiles cover the lower triangle exactly once with the
+// naive values, and a crossing count tile emits at most cols - 1 one-row
+// fragments plus one tile of the rows on or below the diagonal.
+TEST(StreamGeometry, CrossingTilesEmitWholeRowsAndFewFragments) {
+  const std::size_t n = 75;
+  const BitMatrix g = random_matrix(n, 200, 5);
+  GemmConfig cfg;
+  cfg.kc_words = 2;
+  cfg.mc = 24;
+  cfg.nc = 32;
+  const PackedBitMatrix packed = PackedBitMatrix::pack(g.view(), cfg);
+  const detail::StatTables tables = detail::make_stat_tables(g);
+  const LdStatistic stat = LdStatistic::kRSquared;
+  const CountMatrix counts = naive_count_matrix(g, g);
+
+  for (const unsigned threads : {1u, 4u}) {
+    Mutex mu;
+    std::vector<int> hits(n * n, 0);
+    std::size_t wrong_values = 0, non_canonical = 0, crossing = 0;
+    thread_local std::vector<Emitted>* emitted = nullptr;
+    const LdStatTileVisitor visit = [&](const LdTile& t) {
+      emitted->push_back({t.row_begin, t.col_begin, t.rows, t.cols});
+      MutexLock lock(mu);
+      if (t.col_begin + t.cols > t.row_begin + 1) ++non_canonical;
+      for (std::size_t i = 0; i < t.rows; ++i) {
+        for (std::size_t j = 0; j < t.cols; ++j) {
+          const std::size_t gi = t.row_begin + i, gj = t.col_begin + j;
+          ++hits[gi * n + gj];
+          const double want =
+              ld_value(stat, g.derived_count(gi), g.derived_count(gj),
+                       counts(gi, gj), g.samples());
+          const double got = t.values[i * t.ld + j];
+          if (std::isnan(want) ? !std::isnan(got) : got != want) {
+            ++wrong_values;
+          }
+        }
+      }
+    };
+    detail::TileScratch scratch(packed.plan().mc * packed.plan().nc, threads);
+    const CountTileSink emitter = detail::stat_tile_emitter(
+        stat, tables, 0, tables, 0, /*symmetric=*/true, scratch, visit);
+    syrk_count_fused(
+        packed, 0, n,
+        [&](const CountTile& t) {
+          std::vector<Emitted> mine;
+          emitted = &mine;
+          emitter(t);
+          emitted = nullptr;
+          const std::size_t diag_row = t.col_begin + t.cols - 1;
+          if (diag_row <= t.row_begin) return;  // wholly below: one tile
+          std::size_t fragments = 0, whole = 0;
+          for (const Emitted& e : mine) {
+            if (e.cols < t.cols) {
+              EXPECT_EQ(e.rows, 1u);
+              ++fragments;
+            } else {
+              EXPECT_GE(e.row_begin, diag_row);  // on or below the diagonal
+              ++whole;
+            }
+          }
+          MutexLock lock(mu);
+          ++crossing;
+          EXPECT_LE(fragments, t.cols - 1);
+          EXPECT_LE(whole, 1u);
+        },
+        threads);
+
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_GT(crossing, 0u) << label;
+    EXPECT_EQ(non_canonical, 0u) << label;
+    EXPECT_EQ(wrong_values, 0u) << label;
+    std::size_t miscovered = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (hits[i * n + j] != (j <= i ? 1 : 0)) ++miscovered;
+      }
+    }
+    EXPECT_EQ(miscovered, 0u) << label;
+  }
+}
+
+// A team-mode stream hands its tiles straight to TileStoreWriter::add from
+// every worker, with no lock of the caller's; the re-read store is the
+// ld_stat_scan matrix bit for bit.
+TEST(StreamTileStore, ConcurrentAddWithoutOuterLock) {
+  const BitMatrix g = random_matrix(97, 391, 29);
+  GemmConfig cfg;
+  cfg.kc_words = 3;
+  cfg.mc = 16;
+  cfg.nc = 16;
+  const std::string store_path = temp_path("concurrent_add.ldshard");
+  write_shard_store(store_path, g.view(), cfg, 24);
+  ShardStore store = ShardStore::open(store_path);
+  LdOptions opts;
+  opts.gemm = cfg;
+  Assembly want(g.snps(), g.snps());
+  ld_stat_scan(g, [&](const LdTile& t) { want.add(t); }, opts);
+
+  for (const TileCodec codec : {TileCodec::kXor, TileCodec::kRaw}) {
+    const std::string path = temp_path("concurrent_add.ldtile");
+    StreamOptions sopts;
+    sopts.threads = 4;
+    TileStoreWriter writer(path, sopts.stat, g.snps(), g.snps(), codec);
+    ld_matrix_stream(store, [&](const LdTile& t) { writer.add(t); }, sopts);
+    writer.close();
+
+    TileStoreReader reader(path);
+    EXPECT_EQ(reader.tiles(), writer.tiles());
+    Assembly got(g.snps(), g.snps());
+    for (std::size_t t = 0; t < reader.tiles(); ++t) {
+      const TileData td = reader.read_tile(t);
+      got.add(LdTile{td.rec.row_begin, td.rec.col_begin, td.rec.rows,
+                     td.rec.cols, td.values.data(), td.rec.cols});
+    }
+    expect_identical(got, want,
+                     "codec=" + std::to_string(static_cast<int>(codec)));
   }
 }
 
