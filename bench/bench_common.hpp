@@ -318,9 +318,10 @@ inline void print_header(const char* title, const char* paper_ref) {
   std::printf("reproduces: %s\n", paper_ref);
   std::printf("machine:    %s\n", cpu_summary().c_str());
   std::printf("mode:       %s\n",
-              full_mode() ? "FULL (paper sizes)"
-                          : "QUICK (reduced sizes; set LDLA_FULL=1 for "
-                            "paper sizes)");
+              full_mode()    ? "FULL (paper sizes)"
+              : smoke_mode() ? "SMOKE (one rep at sharply reduced sizes)"
+                             : "QUICK (reduced sizes; set LDLA_FULL=1 for "
+                               "paper sizes)");
   std::printf("==============================================================\n\n");
 }
 

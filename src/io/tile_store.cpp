@@ -1,8 +1,10 @@
 #include "io/tile_store.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <type_traits>
 
 #include "util/contract.hpp"
@@ -298,7 +300,13 @@ TileStoreReader::TileStoreReader(const std::string& path)
     if (codec_ == TileCodec::kRaw && rec.bytes != rec.raw_bytes) {
       bad("raw tile with mismatched payload size");
     }
+    max_tile_rows_ = std::max(max_tile_rows_, rec.rows);
   }
+  by_row_.resize(index_.size());
+  std::iota(by_row_.begin(), by_row_.end(), std::size_t{0});
+  std::sort(by_row_.begin(), by_row_.end(), [&](std::size_t a, std::size_t b) {
+    return index_[a].row_begin < index_[b].row_begin;
+  });
 }
 
 const TileRecord& TileStoreReader::record(std::size_t t) const {
@@ -330,10 +338,17 @@ TileData TileStoreReader::read_tile(std::size_t t) {
 
 bool TileStoreReader::find(std::size_t i, std::size_t j, double* out) {
   LDLA_EXPECT(out != nullptr, "find needs an output location");
-  for (std::size_t t = 0; t < index_.size(); ++t) {
+  // Only tiles starting in (i - max_tile_rows_, i] can hold row i.
+  const std::uint64_t lowest =
+      i + 1 > max_tile_rows_ ? i + 1 - max_tile_rows_ : 0;
+  auto it = std::partition_point(
+      by_row_.begin(), by_row_.end(),
+      [&](std::size_t t) { return index_[t].row_begin < lowest; });
+  for (; it != by_row_.end() && index_[*it].row_begin <= i; ++it) {
+    const std::size_t t = *it;
     const TileRecord& rec = index_[t];
-    if (i >= rec.row_begin && i < rec.row_begin + rec.rows &&
-        j >= rec.col_begin && j < rec.col_begin + rec.cols) {
+    if (i < rec.row_begin + rec.rows && j >= rec.col_begin &&
+        j < rec.col_begin + rec.cols) {
       const TileData data = read_tile(t);
       *out = data.at(i - rec.row_begin, j - rec.col_begin);
       return true;

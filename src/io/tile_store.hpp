@@ -128,10 +128,11 @@ class TileStoreReader {
   /// Decode tile `t` (throws ParseError on a corrupt payload).
   [[nodiscard]] TileData read_tile(std::size_t t);
 
-  /// Random lookup of element (i, j): linear scan of the in-memory index
-  /// for the owning tile, then a single tile decode. Returns false when no
-  /// stored tile covers (i, j) — e.g. the strictly-upper triangle of a
-  /// same-matrix stream.
+  /// Random lookup of element (i, j): a binary search of the row-sorted
+  /// index for the tiles whose rows can hold i (no tile is taller than
+  /// the tallest in the store), then a single tile decode. Returns false
+  /// when no stored tile covers (i, j) — e.g. the strictly-upper triangle
+  /// of a same-matrix stream.
   bool find(std::size_t i, std::size_t j, double* out);
 
  private:
@@ -141,6 +142,8 @@ class TileStoreReader {
   std::uint64_t rows_ = 0;
   std::uint64_t cols_ = 0;
   std::vector<TileRecord> index_;
+  std::vector<std::size_t> by_row_;  ///< tile numbers sorted by row_begin
+  std::uint64_t max_tile_rows_ = 0;
 };
 
 }  // namespace ldla

@@ -455,5 +455,48 @@ TEST(StreamTileStore, ConcurrentAddWithoutOuterLock) {
   }
 }
 
+// Every cell of a many-tile store (ragged shards, coalesced diagonal tiles,
+// team-mode file order) through TileStoreReader::find: a covered cell
+// returns the streamed value bit for bit, an uncovered one returns false.
+TEST(StreamTileStore, FindReadsEveryCell) {
+  const BitMatrix g = random_matrix(97, 391, 31);
+  GemmConfig cfg;
+  cfg.kc_words = 3;
+  cfg.mc = 16;
+  cfg.nc = 16;
+  const std::string store_path = temp_path("find_every_cell.ldshard");
+  write_shard_store(store_path, g.view(), cfg, 24);
+  ShardStore store = ShardStore::open(store_path);
+  const std::string path = temp_path("find_every_cell.ldtile");
+  StreamOptions sopts;
+  sopts.threads = 4;
+  Assembly want(g.snps(), g.snps());
+  TileStoreWriter writer(path, sopts.stat, g.snps(), g.snps());
+  ld_matrix_stream(store,
+                   [&](const LdTile& t) {
+                     writer.add(t);
+                     want.add(t);
+                   },
+                   sopts);
+  writer.close();
+
+  TileStoreReader reader(path);
+  ASSERT_GT(reader.tiles(), 20u);
+  std::size_t found = 0;
+  for (std::size_t i = 0; i < g.snps(); ++i) {
+    for (std::size_t j = 0; j < g.snps(); ++j) {
+      const double expected = want.values[i * g.snps() + j];
+      double got = 0.0;
+      const bool covered = expected != -7777.0;
+      ASSERT_EQ(reader.find(i, j, &got), covered) << i << ", " << j;
+      if (covered) {
+        ++found;
+        ASSERT_EQ(std::memcmp(&got, &expected, sizeof got), 0) << i << ", " << j;
+      }
+    }
+  }
+  EXPECT_EQ(found, want.cells);
+}
+
 }  // namespace
 }  // namespace ldla

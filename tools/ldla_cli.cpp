@@ -35,7 +35,8 @@ struct LoadedDataset {
   std::vector<double> positions;  // normalized to [0, 1); empty if unknown
 };
 
-LoadedDataset load_dataset(const std::string& path) {
+/// `threads` is the ms parse team (0 = all cores), as for the LD work.
+LoadedDataset load_dataset(const std::string& path, unsigned threads = 0) {
   LoadedDataset out;
   if (path.size() > 4 && path.substr(path.size() - 4) == ".ldm") {
     out.genotypes = read_ldm_file(path);
@@ -60,7 +61,7 @@ LoadedDataset load_dataset(const std::string& path) {
     }
     return out;
   }
-  auto reps = parse_ms_file(path);
+  auto reps = parse_ms_file(path, threads);
   out.genotypes = std::move(reps.front().genotypes);
   out.positions = std::move(reps.front().positions);
   if (reps.size() > 1) {
@@ -136,7 +137,8 @@ int cmd_compute(int argc, const char* const* argv) {
   opts.threads = static_cast<unsigned>(args.count("threads"));
   const std::size_t k = args.count("top");
 
-  const LoadedDataset data = load_dataset(args.positional().front());
+  const LoadedDataset data =
+      load_dataset(args.positional().front(), opts.threads);
   std::printf("%zu SNPs x %zu samples | %s\n", data.genotypes.snps(),
               data.genotypes.samples(), cpu_summary().c_str());
 
@@ -236,8 +238,8 @@ int cmd_cross(int argc, const char* const* argv) {
   LdOptions opts;
   opts.threads = static_cast<unsigned>(args.count("threads"));
 
-  const LoadedDataset a = load_dataset(args.positional()[0]);
-  const LoadedDataset b = load_dataset(args.positional()[1]);
+  const LoadedDataset a = load_dataset(args.positional()[0], opts.threads);
+  const LoadedDataset b = load_dataset(args.positional()[1], opts.threads);
   std::printf("region A: %zu SNPs | region B: %zu SNPs | %zu samples\n",
               a.genotypes.snps(), b.genotypes.snps(), a.genotypes.samples());
 

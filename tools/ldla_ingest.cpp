@@ -23,7 +23,7 @@ namespace {
 
 using namespace ldla;
 
-BitMatrix load_genotypes(const std::string& path) {
+BitMatrix load_genotypes(const std::string& path, unsigned threads) {
   if (path.size() > 4 && path.substr(path.size() - 4) == ".ldm") {
     return read_ldm_file(path);
   }
@@ -35,7 +35,7 @@ BitMatrix load_genotypes(const std::string& path) {
     }
     return std::move(vcf.genotypes);
   }
-  auto reps = parse_ms_file(path);
+  auto reps = parse_ms_file(path, threads);
   if (reps.size() > 1) {
     std::fprintf(stderr, "note: using first of %zu ms replicates\n",
                  reps.size());
@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
                  "pack a genotype dataset into an mmap-able shard store");
   args.add_option("out", "output store path (.ldshard)", "out.ldshard");
   args.add_option("rows-per-shard", "SNP rows per shard", "4096");
-  args.add_option("threads", "pack worker threads", "1");
+  args.add_option("threads", "parse and pack worker threads", "1");
   args.add_option("arch", "kernel architecture", "auto");
   args.add_option("kc", "kc blocking in words (0 = derive)", "0");
   args.add_option("mc", "mc blocking in rows (0 = derive)", "0");
@@ -255,12 +255,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: expected exactly one input dataset\n");
       return 1;
     }
-    const BitMatrix g = load_genotypes(args.positional().front());
+    const auto threads = static_cast<unsigned>(args.integer("threads"));
+    const BitMatrix g = load_genotypes(args.positional().front(), threads);
     const GemmConfig cfg = config_from_args(args);
     const std::string out = args.str("out");
     write_shard_store(out, g.view(), cfg,
                       static_cast<std::size_t>(args.integer("rows-per-shard")),
-                      static_cast<unsigned>(args.integer("threads")));
+                      threads);
 
     const ShardStore store = ShardStore::open(out);
     std::printf("wrote %s: %zu SNPs x %zu samples, %zu shards, "
